@@ -13,100 +13,23 @@ concrete interpreter::
     build_dag(times20)            # (root id, Dag)
 """
 
-from .builders import (
-    Add,
-    Constant,
-    ExprBuilder,
-    ExprTree,
-    FullBuilder,
-    LetBuilder,
-    Neg,
-    NegSubBuilder,
-    Program,
-    Sub,
-    TreeBuilder,
-    Variable,
-    lower_to_tree,
-)
-from .dag import (
-    BiMap,
-    BuildSession,
-    Dag,
-    DagBuilder,
-    DagTerm,
-    NAdd,
-    NConst,
-    NNeg,
-    NSub,
-    NVar,
-    Node,
-    NodeId,
-    build_dag,
-    build_forest,
-    format_dag,
-)
+from .builders import FullBuilder, lower_to_tree
+from .dag import Dag, build_dag, build_forest, format_dag
 from .generators import mul, mul_shared, sklansky, sklansky_shared
-from .interp import (
-    Env,
-    Evaluator,
-    FlatPrinter,
-    LetPrinter,
-    NameSupply,
-    ParenPrinter,
-    SizeBuilder,
-    UnboundVariableError,
-    env_from_pairs,
-    evaluate,
-    print_flat,
-    print_let,
-    print_paren,
-    size,
-    wrap64,
-)
+from .interp import UnboundVariableError, evaluate, print_flat, print_let, size
 from .netlist import emit_netlist, emit_threeaddr, eval_dag
-from .parser import ParseError, SurfaceAst, elaborate, parse
+from .parser import ParseError, elaborate, parse
 
 __all__ = [
-    "Add",
-    "BiMap",
-    "BuildSession",
-    "Constant",
     "Dag",
-    "DagBuilder",
-    "DagTerm",
-    "Env",
-    "Evaluator",
-    "ExprBuilder",
-    "ExprTree",
-    "FlatPrinter",
     "FullBuilder",
-    "LetBuilder",
-    "LetPrinter",
-    "NAdd",
-    "NConst",
-    "NNeg",
-    "NSub",
-    "NVar",
-    "NameSupply",
-    "Neg",
-    "NegSubBuilder",
-    "Node",
-    "NodeId",
-    "ParenPrinter",
     "ParseError",
-    "Program",
-    "SizeBuilder",
-    "Sub",
-    "SurfaceAst",
-    "TreeBuilder",
     "UnboundVariableError",
-    "Variable",
     "build_dag",
     "build_forest",
     "elaborate",
     "emit_netlist",
     "emit_threeaddr",
-    "env_from_pairs",
     "eval_dag",
     "evaluate",
     "format_dag",
@@ -116,9 +39,7 @@ __all__ = [
     "parse",
     "print_flat",
     "print_let",
-    "print_paren",
     "size",
     "sklansky",
     "sklansky_shared",
-    "wrap64",
 ]

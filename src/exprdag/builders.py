@@ -59,7 +59,11 @@ class FullBuilder(ExprBuilder[T], NegSubBuilder[T], LetBuilder[T]):
 
 
 class ExprTree:
-    """Base of the plain expression tree, the initial representation."""
+    """Base of the plain expression tree, the initial representation.
+
+    parse returns these trees; Let appears only there, since lower_to_tree
+    substitutes every let_ away.
+    """
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,13 @@ class Neg(ExprTree):
 class Sub(ExprTree):
     left: ExprTree
     right: ExprTree
+
+
+@dataclass(frozen=True)
+class Let(ExprTree):
+    name: str
+    bound: ExprTree
+    body: ExprTree
 
 
 class TreeBuilder(FullBuilder[ExprTree]):

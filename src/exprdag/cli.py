@@ -1,6 +1,7 @@
 """Command-line front end: evaluate, show, size, compile, bench.
 
-Exit codes: 0 on success, 2 for parse/usage errors, 3 for evaluation errors.
+Exit codes: 0 on success, 2 for parse, usage and unreadable-input errors, 3 for
+evaluation errors.
 """
 
 from __future__ import annotations
@@ -146,15 +147,12 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--repeat must be >= 1")
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnboundVariableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 A compiled program is a dense array of flat nodes where structurally equal
 subexpressions occupy exactly one slot and every node's children sit at
 smaller ids. Construction works bottom-up: consing a node first looks it up
-in the bijection between nodes and ids, and only inserts on a miss. The
+in the Dag's node-to-id table, and only inserts on a miss. The
 explicit sharing form runs its bound expression once and replicates the
 resulting id, which is what makes compact programs build in time
 proportional to the DAG rather than to the expanded tree.
@@ -65,111 +65,77 @@ class NSub(Node):
         return f"NSub {self.left} {self.right}"
 
 
-class BiMap:
-    """Bijection between values and dense integer keys issued from 0 upward.
+class Dag:
+    """A sharing-maximal node store: the hash-consing table.
 
-    Both directions are O(1): a dict indexes value to key, a list indexes
-    key to value.
+    A dict maps each node to its id and a list maps each id back to its
+    node, so both directions are O(1). Ids are dense from 0, children always
+    live at smaller ids, and no two ids hold equal nodes. A build grows one
+    Dag through hashcons and freezes it on handoff; the Dags returned by
+    build_dag/build_forest are frozen, so nothing mutates them afterwards.
     """
 
     def __init__(self) -> None:
-        self._key_of: dict = {}
-        self._val_of: list = []
-
-    def __len__(self) -> int:
-        return len(self._val_of)
-
-    def lookup_key(self, value) -> NodeId | None:
-        """The key of a present value, or None."""
-        return self._key_of.get(value)
-
-    def lookup_val(self, key: NodeId):
-        """The value at a key; a missing key is a hard error."""
-        if not 0 <= key < len(self._val_of):
-            raise KeyError(key)
-        return self._val_of[key]
-
-    def insert(self, value) -> NodeId:
-        """Associate a new value with the next key and return that key.
-
-        Inserting a value that is already present is a contract violation;
-        callers are expected to check with lookup_key first.
-        """
-        assert value not in self._key_of, f"value already present: {value!r}"
-        key = len(self._val_of)
-        self._key_of[value] = key
-        self._val_of.append(value)
-        return key
-
-    def items(self) -> list[tuple[NodeId, object]]:
-        return list(enumerate(self._val_of))
-
-
-class Dag:
-    """A sharing-maximal node store.
-
-    Ids are dense, children always live at smaller ids, and no two ids hold
-    equal nodes. Instances returned by build_dag/build_forest are frozen:
-    nothing mutates them afterwards.
-    """
-
-    def __init__(self, nodes: BiMap | None = None):
-        self._nodes = BiMap() if nodes is None else nodes
+        self._ids: dict[Node, NodeId] = {}
+        self._nodes: list[Node] = []
+        self._frozen = False
 
     def __len__(self) -> int:
         return len(self._nodes)
 
+    def hashcons(self, node: Node) -> NodeId:
+        """Return the id of an equal existing node, inserting on a miss.
+
+        The node's children must already be allocated in this Dag.
+        """
+        if self._frozen:
+            raise RuntimeError("Dag is frozen")
+        node_id = self._ids.get(node)
+        if node_id is None:
+            node_id = len(self._nodes)
+            self._ids[node] = node_id
+            self._nodes.append(node)
+        return node_id
+
+    def freeze(self) -> Dag:
+        """Reject any further hashcons and return this Dag."""
+        self._frozen = True
+        return self
+
     def node(self, node_id: NodeId) -> Node:
-        return self._nodes.lookup_val(node_id)
+        """The node at an id; a missing id is a hard error."""
+        if not 0 <= node_id < len(self._nodes):
+            raise KeyError(node_id)
+        return self._nodes[node_id]
 
     def items(self) -> list[tuple[NodeId, Node]]:
-        return self._nodes.items()
+        return list(enumerate(self._nodes))
 
     def __eq__(self, other):
         if not isinstance(other, Dag):
             return NotImplemented
-        return self.items() == other.items()
+        return self._nodes == other._nodes
 
     def __repr__(self):
         return f"Dag({self.items()!r})"
 
 
-class BuildSession:
-    """Single-owner construction state: one growing Dag, frozen on handoff."""
-
-    def __init__(self) -> None:
-        self._dag = Dag()
-        self._frozen = False
-
-    def hashcons(self, node: Node) -> NodeId:
-        """Return the id of an equal existing node, inserting on a miss.
-
-        The node's children must already be allocated in this session.
-        """
-        if self._frozen:
-            raise RuntimeError("session is frozen")
-        nodes = self._dag._nodes
-        key = nodes.lookup_key(node)
-        if key is None:
-            key = nodes.insert(node)
-        return key
-
-    def freeze(self) -> Dag:
-        self._frozen = True
-        return self._dag
+#: Second name for Dag, for callers that build with
+#: ``BuildSession().hashcons(...)`` and ``.freeze()``.
+BuildSession = Dag
 
 
 @dataclass(frozen=True)
 class DagTerm:
     """Deferred build step: running it conses this term's nodes into a
-    session and yields the term's node id.
+    Dag and yields the term's node id.
 
     Keeping terms deferred (rather than already-built ids) means a term that
     appears twice is built twice unless the program shares it with let_;
     hash-consing still collapses the duplicates in the result.
     """
 
-    run: Callable[[BuildSession], NodeId]
+    run: Callable[[Dag], NodeId]
 
 
 class DagBuilder(FullBuilder[DagTerm]):
@@ -180,38 +146,38 @@ class DagBuilder(FullBuilder[DagTerm]):
     """
 
     def constant(self, value):
-        return DagTerm(lambda session: session.hashcons(NConst(value)))
+        return DagTerm(lambda dag: dag.hashcons(NConst(value)))
 
     def variable(self, name):
         require_name(name)
-        return DagTerm(lambda session: session.hashcons(NVar(name)))
+        return DagTerm(lambda dag: dag.hashcons(NVar(name)))
 
     def add(self, left, right):
-        def run(session):
-            lhs = left.run(session)
-            rhs = right.run(session)
-            return session.hashcons(NAdd(lhs, rhs))
+        def run(dag):
+            lhs = left.run(dag)
+            rhs = right.run(dag)
+            return dag.hashcons(NAdd(lhs, rhs))
 
         return DagTerm(run)
 
     def neg(self, operand):
-        def run(session):
-            return session.hashcons(NNeg(operand.run(session)))
+        def run(dag):
+            return dag.hashcons(NNeg(operand.run(dag)))
 
         return DagTerm(run)
 
     def sub(self, left, right):
-        def run(session):
-            lhs = left.run(session)
-            rhs = right.run(session)
-            return session.hashcons(NSub(lhs, rhs))
+        def run(dag):
+            lhs = left.run(dag)
+            rhs = right.run(dag)
+            return dag.hashcons(NSub(lhs, rhs))
 
         return DagTerm(run)
 
     def let_(self, bound, body):
-        def run(session):
-            shared = bound.run(session)
-            return body(DagTerm(lambda _session: shared)).run(session)
+        def run(dag):
+            shared = bound.run(dag)
+            return body(DagTerm(lambda _dag: shared)).run(dag)
 
         return DagTerm(run)
 
@@ -219,25 +185,28 @@ class DagBuilder(FullBuilder[DagTerm]):
 def build_dag(program: Program) -> tuple[NodeId, Dag]:
     """Compile a program to its root id and frozen Dag."""
     term = program(DagBuilder())
-    session = BuildSession()
-    root = term.run(session)
-    return root, session.freeze()
+    dag = Dag()
+    root = term.run(dag)
+    return root, dag.freeze()
 
 
 def build_forest(program: Callable[[DagBuilder], Sequence[DagTerm]]) -> tuple[list[NodeId], Dag]:
     """Compile a program yielding several terms against one shared Dag.
 
-    All terms are built in list order within a single session, so equal
+    All terms are built in list order into a single Dag, so equal
     subexpressions are shared across independent roots.
     """
     terms = program(DagBuilder())
-    session = BuildSession()
-    roots = [term.run(session) for term in terms]
-    return roots, session.freeze()
+    dag = Dag()
+    roots = [term.run(dag) for term in terms]
+    return roots, dag.freeze()
 
 
 def format_dag(roots: NodeId | Iterable[NodeId], dag: Dag) -> str:
-    """Association-list display, e.g. (2,DAG BiMap[(0,NVar "i1"),...])."""
+    """Association-list display, e.g. (2,DAG BiMap[(0,NVar "i1"),...]).
+
+    The ``DAG BiMap[`` prefix is the paper's display form for the node table.
+    """
     if isinstance(roots, int):
         head = str(roots)
     else:

@@ -1,5 +1,5 @@
 """Interpreters with value semantics: an environment evaluator, a constructor
-counter, and string renderers (flat, fully parenthesized, and let-aware)."""
+counter, and string renderers (flat and let-aware)."""
 
 from __future__ import annotations
 
@@ -126,33 +126,6 @@ class FlatPrinter(FullBuilder[str]):
 
 def print_flat(program: Program) -> str:
     return program(FlatPrinter())
-
-
-class ParenPrinter(FullBuilder[str]):
-    """Compact fully parenthesized rendering, for unambiguous debug output."""
-
-    def constant(self, value):
-        return str(value)
-
-    def variable(self, name):
-        require_name(name)
-        return name
-
-    def add(self, left, right):
-        return f"({left}+{right})"
-
-    def neg(self, operand):
-        return f"(-{operand})"
-
-    def sub(self, left, right):
-        return f"({left}-{right})"
-
-    def let_(self, bound, body):
-        return body(bound)
-
-
-def print_paren(program: Program) -> str:
-    return program(ParenPrinter())
 
 
 class NameSupply:

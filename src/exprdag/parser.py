@@ -14,7 +14,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 
-from .builders import FullBuilder
+from .builders import Add, Constant, ExprTree, FullBuilder, Let, Neg, Sub, Variable
 
 _IDENT_START = set(string.ascii_letters + "_")
 _IDENT_CONT = set(string.ascii_letters + string.digits + "_")
@@ -29,44 +29,6 @@ class ParseError(ValueError):
         super().__init__(f"{line}:{col}: {message}")
         self.line = line
         self.col = col
-
-
-class SurfaceAst:
-    """Base of the parsed-syntax nodes."""
-
-
-@dataclass(frozen=True)
-class Lit(SurfaceAst):
-    value: int
-
-
-@dataclass(frozen=True)
-class VarRef(SurfaceAst):
-    name: str
-
-
-@dataclass(frozen=True)
-class Add(SurfaceAst):
-    left: SurfaceAst
-    right: SurfaceAst
-
-
-@dataclass(frozen=True)
-class Neg(SurfaceAst):
-    operand: SurfaceAst
-
-
-@dataclass(frozen=True)
-class Sub(SurfaceAst):
-    left: SurfaceAst
-    right: SurfaceAst
-
-
-@dataclass(frozen=True)
-class Let(SurfaceAst):
-    name: str
-    bound: SurfaceAst
-    body: SurfaceAst
 
 
 @dataclass(frozen=True)
@@ -143,7 +105,7 @@ class _Parser:
             raise ParseError(f"expected {what}, found {_describe(token)}", token.line, token.col)
         return self.advance()
 
-    def expr(self) -> SurfaceAst:
+    def expr(self) -> ExprTree:
         node = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
@@ -151,14 +113,14 @@ class _Parser:
             node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
         return node
 
-    def term(self) -> SurfaceAst:
+    def term(self) -> ExprTree:
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            return Lit(int(token.text))
+            return Constant(int(token.text))
         if token.kind == "ident":
             self.advance()
-            return VarRef(token.text)
+            return Variable(token.text)
         if token.kind == "-":
             self.advance()
             return Neg(self.term())
@@ -183,16 +145,17 @@ class _Parser:
         raise ParseError(f"expected an expression, found {_describe(token)}", token.line, token.col)
 
 
-def parse(text: str) -> SurfaceAst:
-    """Parse program text, or raise ParseError with position information."""
+def parse(text: str) -> ExprTree:
+    """Parse program text into an ExprTree, or raise ParseError with position
+    information."""
     parser = _Parser(tokenize(text))
     node = parser.expr()
     parser.expect("eof", "end of input")
     return node
 
 
-def elaborate(ast: SurfaceAst, builder: FullBuilder, scope: dict | None = None):
-    """Turn a surface tree into a term of the given interpreter.
+def elaborate(ast: ExprTree, builder: FullBuilder, scope: dict | None = None):
+    """Turn an expression tree into a term of the given interpreter.
 
     Let-bound names are translated through let_, inner bindings shadow outer
     ones, and names not bound by any let become free DSL variables. A negated
@@ -200,13 +163,13 @@ def elaborate(ast: SurfaceAst, builder: FullBuilder, scope: dict | None = None):
     """
     scope = {} if scope is None else scope
     match ast:
-        case Lit(value):
+        case Constant(value):
             return builder.constant(value)
-        case VarRef(name):
+        case Variable(name):
             if name in scope:
                 return scope[name]
             return builder.variable(name)
-        case Neg(Lit(value)):
+        case Neg(Constant(value)):
             return builder.constant(-value)
         case Add(left, right):
             return builder.add(elaborate(left, builder, scope), elaborate(right, builder, scope))
@@ -219,4 +182,4 @@ def elaborate(ast: SurfaceAst, builder: FullBuilder, scope: dict | None = None):
             return builder.let_(
                 bound_term, lambda term: elaborate(body, builder, {**scope, name: term})
             )
-    raise TypeError(f"not a surface node: {ast!r}")
+    raise TypeError(f"not an expression tree: {ast!r}")

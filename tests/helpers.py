@@ -6,9 +6,9 @@ deliberately separate from the builder/interpreter code paths it checks.
 
 import random
 
-from exprdag import parser as surface
-from exprdag.builders import Add, Constant, FullBuilder, Neg, Sub, Variable
+from exprdag.builders import Add, Constant, FullBuilder, Let, Neg, Sub, Variable
 from exprdag.dag import NAdd, NNeg, NSub
+from exprdag.parser import elaborate
 
 _HALF = 1 << 63
 _WORD = 1 << 64
@@ -91,21 +91,21 @@ def expected_dag_node_count(ast):
 
     def walk(node, scope):
         match node:
-            case surface.Lit(value):
+            case Constant(value):
                 sig = ("const", value)
-            case surface.VarRef(name):
+            case Variable(name):
                 if name in scope:
                     return scope[name]
                 sig = ("var", name)
-            case surface.Neg(surface.Lit(value)):
+            case Neg(Constant(value)):
                 sig = ("const", -value)
-            case surface.Add(left, right):
+            case Add(left, right):
                 sig = ("add", walk(left, scope), walk(right, scope))
-            case surface.Sub(left, right):
+            case Sub(left, right):
                 sig = ("sub", walk(left, scope), walk(right, scope))
-            case surface.Neg(operand):
+            case Neg(operand):
                 sig = ("neg", walk(operand, scope))
-            case surface.Let(name, bound, body):
+            case Let(name, bound, body):
                 bound_idx = walk(bound, scope)
                 return walk(body, {**scope, name: bound_idx})
         idx = index.get(sig)
@@ -126,17 +126,17 @@ def surface_eval(ast, env, scope=None):
     """
     scope = {} if scope is None else scope
     match ast:
-        case surface.Lit(value):
+        case Constant(value):
             return wrap(value)
-        case surface.VarRef(name):
+        case Variable(name):
             return wrap(scope[name]) if name in scope else wrap(env[name])
-        case surface.Add(left, right):
+        case Add(left, right):
             return wrap(surface_eval(left, env, scope) + surface_eval(right, env, scope))
-        case surface.Sub(left, right):
+        case Sub(left, right):
             return wrap(surface_eval(left, env, scope) - surface_eval(right, env, scope))
-        case surface.Neg(operand):
+        case Neg(operand):
             return wrap(-surface_eval(operand, env, scope))
-        case surface.Let(name, bound, body):
+        case Let(name, bound, body):
             value = surface_eval(bound, env, scope)
             return surface_eval(body, env, {**scope, name: value})
     raise TypeError(ast)
@@ -176,21 +176,21 @@ def random_ast(rng: random.Random, max_depth: int, scope=()):
     if max_depth <= 0 or rng.random() < 0.3:
         roll = rng.random()
         if roll < 0.35:
-            return surface.Lit(rng.randint(-999, 999))
+            return Constant(rng.randint(-999, 999))
         if scope and roll < 0.7:
-            return surface.VarRef(rng.choice(scope))
-        return surface.VarRef(rng.choice(FREE_NAMES))
+            return Variable(rng.choice(scope))
+        return Variable(rng.choice(FREE_NAMES))
     pick = rng.random()
     if pick < 0.35:
-        return surface.Add(random_ast(rng, max_depth - 1, scope), random_ast(rng, max_depth - 1, scope))
+        return Add(random_ast(rng, max_depth - 1, scope), random_ast(rng, max_depth - 1, scope))
     if pick < 0.55:
-        return surface.Sub(random_ast(rng, max_depth - 1, scope), random_ast(rng, max_depth - 1, scope))
+        return Sub(random_ast(rng, max_depth - 1, scope), random_ast(rng, max_depth - 1, scope))
     if pick < 0.7:
-        return surface.Neg(random_ast(rng, max_depth - 1, scope))
+        return Neg(random_ast(rng, max_depth - 1, scope))
     name = rng.choice(LET_NAMES)
     bound = random_ast(rng, max_depth - 1, scope)
     body = random_ast(rng, max_depth - 1, scope + (name,))
-    return surface.Let(name, bound, body)
+    return Let(name, bound, body)
 
 
 def random_env(rng: random.Random):
@@ -198,7 +198,7 @@ def random_env(rng: random.Random):
 
 
 def program_of(ast):
-    return lambda builder: surface.elaborate(ast, builder)
+    return lambda builder: elaborate(ast, builder)
 
 
 class ShareEveryTerm(FullBuilder):

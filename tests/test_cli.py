@@ -58,6 +58,14 @@ class TestEval:
         assert code == 2
         assert err
 
+    def test_non_utf8_file_exits_2_with_one_error_line(self, capsys, monkeypatch, tmp_path):
+        source = tmp_path / "prog.expr"
+        source.write_bytes(b"\xff\xfe1+2")
+        code, out, err = run_cli(capsys, monkeypatch, ["eval", str(source)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestShowAndSize:
     def test_show_prints_let_bindings(self, capsys, monkeypatch):

@@ -1,10 +1,8 @@
-"""BiMap, hash-consing, and DAG construction."""
+"""The node store, hash-consing, and DAG construction."""
 
 import pytest
 
 from exprdag.dag import (
-    BiMap,
-    BuildSession,
     Dag,
     DagBuilder,
     NAdd,
@@ -25,64 +23,64 @@ MUL4_ITEMS = [(0, NVar("i1")), (1, NAdd(0, 0)), (2, NAdd(1, 1))]
 
 
 class TestBiMap:
+    """The node-to-id bijection (the paper's BiMap), held by Dag."""
+
     def test_lookup_key_on_empty_map(self):
-        assert BiMap().lookup_key(NVar("i1")) is None
+        dag = Dag()
+        assert dag.hashcons(NVar("i1")) == 0
+        assert len(dag) == 1
 
     def test_insert_starts_at_zero_and_counts_up(self):
-        m = BiMap()
-        assert m.insert(NVar("i1")) == 0
-        assert m.insert(NAdd(0, 0)) == 1
-        assert len(m) == 2
+        dag = Dag()
+        assert dag.hashcons(NVar("i1")) == 0
+        assert dag.hashcons(NAdd(0, 0)) == 1
+        assert len(dag) == 2
 
     def test_round_trip_both_directions(self):
-        m = BiMap()
-        key = m.insert(NVar("i1"))
-        assert m.lookup_key(NVar("i1")) == key == 0
-        assert m.lookup_val(0) == NVar("i1")
+        dag = Dag()
+        node_id = dag.hashcons(NVar("i1"))
+        assert dag.hashcons(NVar("i1")) == node_id == 0
+        assert dag.node(0) == NVar("i1")
+        assert len(dag) == 1
 
     def test_lookup_key_misses_on_absent_node(self):
-        m = BiMap()
-        m.insert(NVar("i1"))
-        assert m.lookup_key(NAdd(0, 0)) is None
+        dag = Dag()
+        dag.hashcons(NVar("i1"))
+        assert dag.hashcons(NAdd(0, 0)) == 1
+        assert dag.items() == [(0, NVar("i1")), (1, NAdd(0, 0))]
 
     def test_lookup_val_out_of_range_is_a_hard_error(self):
-        m = BiMap()
-        m.insert(NVar("i1"))
+        dag = Dag()
+        dag.hashcons(NVar("i1"))
         with pytest.raises(KeyError):
-            m.lookup_val(1)
+            dag.node(1)
         with pytest.raises(KeyError):
-            m.lookup_val(-1)
-
-    def test_inserting_a_present_value_violates_the_contract(self):
-        m = BiMap()
-        m.insert(NVar("i1"))
-        with pytest.raises(AssertionError):
-            m.insert(NVar("i1"))
+            dag.node(-1)
 
 
 class TestHashcons:
     def test_first_cons_allocates_id_zero(self):
-        session = BuildSession()
-        assert session.hashcons(NVar("i1")) == 0
-        assert session.freeze().items() == [(0, NVar("i1"))]
+        dag = Dag()
+        assert dag.hashcons(NVar("i1")) == 0
+        assert dag.freeze().items() == [(0, NVar("i1"))]
 
     def test_consing_the_same_node_again_returns_the_same_id(self):
-        session = BuildSession()
-        assert session.hashcons(NVar("i1")) == 0
-        assert session.hashcons(NVar("i1")) == 0
-        assert len(session.freeze()) == 1
+        dag = Dag()
+        assert dag.hashcons(NVar("i1")) == 0
+        assert dag.hashcons(NVar("i1")) == 0
+        assert len(dag.freeze()) == 1
 
     def test_new_node_gets_the_next_id(self):
-        session = BuildSession()
-        session.hashcons(NVar("i1"))
-        assert session.hashcons(NAdd(0, 0)) == 1
+        dag = Dag()
+        dag.hashcons(NVar("i1"))
+        assert dag.hashcons(NAdd(0, 0)) == 1
 
     def test_frozen_session_rejects_further_consing(self):
-        session = BuildSession()
-        session.hashcons(NVar("i1"))
-        session.freeze()
+        dag = Dag()
+        dag.hashcons(NVar("i1"))
+        assert dag.freeze() is dag
         with pytest.raises(RuntimeError):
-            session.hashcons(NConst(1))
+            dag.hashcons(NConst(1))
 
 
 class TestBuildDag:
@@ -192,7 +190,7 @@ def test_dag_node_accessor_validates_ids():
 
 def test_terms_can_be_rerun_in_fresh_sessions():
     term = exp_mul4(DagBuilder())
-    first = BuildSession()
-    second = BuildSession()
+    first = Dag()
+    second = Dag()
     assert term.run(first) == term.run(second) == 2
     assert first.freeze() == second.freeze()

@@ -1,9 +1,9 @@
 """The multiplication and running-sum workload generators."""
 
-from exprdag.builders import Add, Constant, Neg, Variable, lower_to_tree
+from exprdag.builders import Add, Constant, Neg, TreeBuilder, Variable, lower_to_tree
 from exprdag.dag import NAdd, NVar, build_dag, build_forest
 from exprdag.generators import mul, mul_shared, sklansky, sklansky_shared
-from exprdag.interp import ParenPrinter, evaluate, print_let, size
+from exprdag.interp import evaluate, print_let, size
 
 import helpers
 
@@ -68,9 +68,9 @@ class TestMulShared:
 
 class TestSklansky:
     def test_bracketed_rendering_of_four_inputs(self):
-        pp = ParenPrinter()
-        rendered = sklansky(pp.add, [pp.variable(f"v{i}") for i in range(1, 5)])
-        assert rendered == ["v1", "(v1+v2)", "((v1+v2)+v3)", "((v1+v2)+(v3+v4))"]
+        v1, v2, v3, v4 = (Variable(f"v{i}") for i in range(1, 5))
+        rendered = sklansky(TreeBuilder().add, [v1, v2, v3, v4])
+        assert rendered == [v1, Add(v1, v2), Add(Add(v1, v2), v3), Add(Add(v1, v2), Add(v3, v4))]
 
     def test_empty_input(self):
         assert sklansky(lambda a, b: a + b, []) == []

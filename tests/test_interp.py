@@ -1,4 +1,4 @@
-"""Evaluator, size counter, and the three renderers."""
+"""Evaluator, size counter, and the two renderers."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from exprdag.interp import (
     evaluate,
     print_flat,
     print_let,
-    print_paren,
     size,
     wrap64,
 )
@@ -113,16 +112,6 @@ class TestPrintFlat:
 
     def test_shared_subterms_print_again_at_every_use(self):
         assert print_flat(lambda b: mul_shared(b, 4, b.variable("i1"))) == "i1 + i1 + i1 + i1"
-
-
-class TestPrintParen:
-    def test_every_operation_is_bracketed(self):
-        program = lambda b: b.add(b.add(b.variable("v1"), b.variable("v2")), b.variable("v3"))
-        assert print_paren(program) == "((v1+v2)+v3)"
-
-    def test_neg_and_sub(self):
-        program = lambda b: b.sub(b.neg(b.variable("x")), b.constant(2))
-        assert print_paren(program) == "((-x)-2)"
 
 
 class TestPrintLet:

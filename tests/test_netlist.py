@@ -2,7 +2,7 @@
 
 import pytest
 
-from exprdag.dag import BuildSession, Dag, build_dag, build_forest
+from exprdag.dag import Dag, NConst, build_dag, build_forest
 from exprdag.generators import mul, sklansky
 from exprdag.interp import UnboundVariableError
 from exprdag.netlist import emit_netlist, emit_threeaddr, eval_dag
@@ -19,11 +19,9 @@ def sklansky4(b):
 
 
 def const_dag(value):
-    session = BuildSession()
-    from exprdag.dag import NConst
-
-    root = session.hashcons(NConst(value))
-    return root, session.freeze()
+    dag = Dag()
+    root = dag.hashcons(NConst(value))
+    return root, dag.freeze()
 
 
 class TestEvalDag:

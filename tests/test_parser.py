@@ -2,7 +2,7 @@
 
 import pytest
 
-from exprdag import parser as P
+from exprdag.builders import Add, Constant, Let, Neg, Sub, Variable, lower_to_tree
 from exprdag.dag import NAdd, NVar, build_dag
 from exprdag.interp import evaluate, print_let
 from exprdag.parser import ParseError, elaborate, parse
@@ -13,26 +13,29 @@ import helpers
 class TestParse:
     def test_let_form(self):
         got = parse("let y = i1 + i1 in y + y")
-        bound = P.Add(P.VarRef("i1"), P.VarRef("i1"))
-        assert got == P.Let("y", bound, P.Add(P.VarRef("y"), P.VarRef("y")))
+        bound = Add(Variable("i1"), Variable("i1"))
+        assert got == Let("y", bound, Add(Variable("y"), Variable("y")))
 
     def test_two_leaf_add(self):
-        assert parse("10 + i1") == P.Add(P.Lit(10), P.VarRef("i1"))
+        assert parse("10 + i1") == Add(Constant(10), Variable("i1"))
 
     def test_plus_minus_are_left_associative(self):
-        assert parse("a - b + c") == P.Add(P.Sub(P.VarRef("a"), P.VarRef("b")), P.VarRef("c"))
+        assert parse("a - b + c") == Add(Sub(Variable("a"), Variable("b")), Variable("c"))
+        # the parser and TreeBuilder share one tree type
+        built = lambda b: b.add(b.sub(b.variable("a"), b.variable("b")), b.variable("c"))
+        assert parse("a - b + c") == lower_to_tree(built)
 
     def test_parens_override_grouping(self):
-        assert parse("a - (b + c)") == P.Sub(P.VarRef("a"), P.Add(P.VarRef("b"), P.VarRef("c")))
+        assert parse("a - (b + c)") == Sub(Variable("a"), Add(Variable("b"), Variable("c")))
 
     def test_unary_minus_binds_to_the_next_term(self):
-        assert parse("-x + y") == P.Add(P.Neg(P.VarRef("x")), P.VarRef("y"))
-        assert parse("x - -y") == P.Sub(P.VarRef("x"), P.Neg(P.VarRef("y")))
+        assert parse("-x + y") == Add(Neg(Variable("x")), Variable("y"))
+        assert parse("x - -y") == Sub(Variable("x"), Neg(Variable("y")))
 
     def test_let_body_extends_as_far_right_as_possible(self):
         got = parse("let t = 1 in t + t + 2")
-        body = P.Add(P.Add(P.VarRef("t"), P.VarRef("t")), P.Lit(2))
-        assert got == P.Let("t", P.Lit(1), body)
+        body = Add(Add(Variable("t"), Variable("t")), Constant(2))
+        assert got == Let("t", Constant(1), body)
 
     def test_let_missing_name_is_a_syntax_error(self):
         with pytest.raises(ParseError):
@@ -88,8 +91,6 @@ class TestElaborate:
         assert evaluate(helpers.program_of(ast), {}) == 2
 
     def test_negated_literal_folds_to_a_negative_constant(self):
-        from exprdag.builders import Constant, lower_to_tree
-
         ast = parse("-5")
         assert lower_to_tree(helpers.program_of(ast)) == Constant(-5)
 

@@ -4,9 +4,8 @@ parser round trip."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exprdag import parser as P
-from exprdag.builders import lower_to_tree
-from exprdag.dag import BuildSession, build_dag, build_forest
+from exprdag.builders import Add, Constant, Let, Neg, Sub, Variable, lower_to_tree
+from exprdag.dag import Dag, build_dag, build_forest
 from exprdag.generators import mul, mul_shared, sklansky, sklansky_shared
 from exprdag.interp import evaluate, print_flat, print_let, size
 from exprdag.netlist import emit_netlist, emit_threeaddr, eval_dag
@@ -19,19 +18,19 @@ NAMES = helpers.FREE_NAMES + helpers.LET_NAMES
 
 def leaves():
     return st.one_of(
-        st.integers(-50, 50).map(P.Lit),
-        st.sampled_from(NAMES).map(P.VarRef),
+        st.integers(-50, 50).map(Constant),
+        st.sampled_from(NAMES).map(Variable),
     )
 
 
 def asts(with_neg_sub=True, with_let=True):
     def extend(inner):
-        options = [st.builds(P.Add, inner, inner)]
+        options = [st.builds(Add, inner, inner)]
         if with_neg_sub:
-            options.append(st.builds(P.Sub, inner, inner))
-            options.append(st.builds(P.Neg, inner))
+            options.append(st.builds(Sub, inner, inner))
+            options.append(st.builds(Neg, inner))
         if with_let:
-            options.append(st.builds(P.Let, st.sampled_from(helpers.LET_NAMES), inner, inner))
+            options.append(st.builds(Let, st.sampled_from(helpers.LET_NAMES), inner, inner))
         return st.one_of(options)
 
     return st.recursive(leaves(), extend, max_leaves=30)
@@ -75,11 +74,11 @@ def test_flat_and_let_printers_agree_when_no_lets_occur(ast):
 
 def _has_let(ast):
     match ast:
-        case P.Let(_, _, _):
+        case Let(_, _, _):
             return True
-        case P.Add(left, right) | P.Sub(left, right):
+        case Add(left, right) | Sub(left, right):
             return _has_let(left) or _has_let(right)
-        case P.Neg(operand):
+        case Neg(operand):
             return _has_let(operand)
     return False
 
@@ -125,12 +124,12 @@ def test_fully_annotated_variant_builds_the_identical_dag(ast):
 @given(asts())
 def test_hashcons_replay_is_idempotent(ast):
     _root, dag = build_dag(helpers.program_of(ast))
-    session = BuildSession()
+    replay = Dag()
     for node_id, node in dag.items():
-        assert session.hashcons(node) == node_id
+        assert replay.hashcons(node) == node_id
     for node_id, node in dag.items():
-        assert session.hashcons(node) == node_id
-    assert len(session.freeze()) == len(dag)
+        assert replay.hashcons(node) == node_id
+    assert len(replay.freeze()) == len(dag)
 
 
 @given(asts(), envs)
