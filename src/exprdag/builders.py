@@ -1,4 +1,4 @@
-"""Builder interfaces and the plain-tree form of the expression language."""
+"""The builder interface and the plain-tree form of the expression language."""
 
 from __future__ import annotations
 
@@ -17,11 +17,13 @@ def require_name(name: str) -> None:
         raise ValueError("variable name must be non-empty")
 
 
-class ExprBuilder(ABC, Generic[T]):
-    """Core constructors.
+class FullBuilder(ABC, Generic[T]):
+    """The six constructors of the language, one interface for every
+    interpreter.
 
-    Each interpreter supplies its own term type T; a term must only be fed
-    back to the interpreter that produced it.
+    Each interpreter picks its own term type T, a plain value or a function
+    of its run state; a term must only be fed back to the interpreter that
+    produced it.
     """
 
     @abstractmethod
@@ -33,29 +35,16 @@ class ExprBuilder(ABC, Generic[T]):
     @abstractmethod
     def add(self, left: T, right: T) -> T: ...
 
-
-class NegSubBuilder(ABC, Generic[T]):
-    """Negation and subtraction, a separate interface so that core-only
-    programs and interpreters keep working unchanged."""
-
     @abstractmethod
     def neg(self, operand: T) -> T: ...
 
     @abstractmethod
     def sub(self, left: T, right: T) -> T: ...
 
-
-class LetBuilder(ABC, Generic[T]):
-    """The explicit sharing form."""
-
     @abstractmethod
     def let_(self, bound: T, body: Callable[[T], T]) -> T:
         """Bind ``bound`` once; every use of the argument passed to ``body``
         refers to that single shared expression."""
-
-
-class FullBuilder(ExprBuilder[T], NegSubBuilder[T], LetBuilder[T]):
-    """All six constructors together."""
 
 
 class ExprTree:

@@ -1,7 +1,7 @@
 """Command-line front end: evaluate, show, size, compile, bench.
 
-Exit codes: 0 on success, 2 for parse, usage and unreadable-input errors, 3 for
-evaluation errors.
+Exit codes: 0 on success, 2 for parse, usage, unreadable-input and too-deep
+input errors, 3 for evaluation errors.
 """
 
 from __future__ import annotations
@@ -149,6 +149,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParseError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: program nests too deeply", file=sys.stderr)
         return 2
     except UnboundVariableError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,11 +2,12 @@
 
 A compiled program is a dense array of flat nodes where structurally equal
 subexpressions occupy exactly one slot and every node's children sit at
-smaller ids. Construction works bottom-up: consing a node first looks it up
-in the Dag's node-to-id table, and only inserts on a miss. The
-explicit sharing form runs its bound expression once and replicates the
-resulting id, which is what makes compact programs build in time
-proportional to the DAG rather than to the expanded tree.
+smaller ids. A DagBuilder term is a plain function from the Dag under
+construction to the term's node id. Construction works bottom-up: consing a
+node first looks it up in the Dag's node-to-id table, and only inserts on a
+miss. The explicit sharing form runs its bound expression once and
+replicates the resulting id, which is what makes compact programs build in
+time proportional to the DAG rather than to the expanded tree.
 """
 
 from __future__ import annotations
@@ -125,17 +126,11 @@ class Dag:
 BuildSession = Dag
 
 
-@dataclass(frozen=True)
-class DagTerm:
-    """Deferred build step: running it conses this term's nodes into a
-    Dag and yields the term's node id.
-
-    Keeping terms deferred (rather than already-built ids) means a term that
-    appears twice is built twice unless the program shares it with let_;
-    hash-consing still collapses the duplicates in the result.
-    """
-
-    run: Callable[[Dag], NodeId]
+#: A DagBuilder term: running it conses the term's nodes into a Dag and
+#: yields the term's node id. Terms stay deferred rather than already-built
+#: ids, so a term that appears twice is built twice unless the program
+#: shares it with let_; hash-consing still collapses the duplicates.
+DagTerm = Callable[[Dag], NodeId]
 
 
 class DagBuilder(FullBuilder[DagTerm]):
@@ -146,48 +141,33 @@ class DagBuilder(FullBuilder[DagTerm]):
     """
 
     def constant(self, value):
-        return DagTerm(lambda dag: dag.hashcons(NConst(value)))
+        return lambda dag: dag.hashcons(NConst(value))
 
     def variable(self, name):
         require_name(name)
-        return DagTerm(lambda dag: dag.hashcons(NVar(name)))
+        return lambda dag: dag.hashcons(NVar(name))
 
     def add(self, left, right):
-        def run(dag):
-            lhs = left.run(dag)
-            rhs = right.run(dag)
-            return dag.hashcons(NAdd(lhs, rhs))
-
-        return DagTerm(run)
+        return lambda dag: dag.hashcons(NAdd(left(dag), right(dag)))
 
     def neg(self, operand):
-        def run(dag):
-            return dag.hashcons(NNeg(operand.run(dag)))
-
-        return DagTerm(run)
+        return lambda dag: dag.hashcons(NNeg(operand(dag)))
 
     def sub(self, left, right):
-        def run(dag):
-            lhs = left.run(dag)
-            rhs = right.run(dag)
-            return dag.hashcons(NSub(lhs, rhs))
-
-        return DagTerm(run)
+        return lambda dag: dag.hashcons(NSub(left(dag), right(dag)))
 
     def let_(self, bound, body):
         def run(dag):
-            shared = bound.run(dag)
-            return body(DagTerm(lambda _dag: shared)).run(dag)
+            shared = bound(dag)
+            return body(lambda _dag: shared)(dag)
 
-        return DagTerm(run)
+        return run
 
 
 def build_dag(program: Program) -> tuple[NodeId, Dag]:
     """Compile a program to its root id and frozen Dag."""
-    term = program(DagBuilder())
-    dag = Dag()
-    root = term.run(dag)
-    return root, dag.freeze()
+    (root,), dag = build_forest(lambda builder: [program(builder)])
+    return root, dag
 
 
 def build_forest(program: Callable[[DagBuilder], Sequence[DagTerm]]) -> tuple[list[NodeId], Dag]:
@@ -198,7 +178,7 @@ def build_forest(program: Callable[[DagBuilder], Sequence[DagTerm]]) -> tuple[li
     """
     terms = program(DagBuilder())
     dag = Dag()
-    roots = [term.run(dag) for term in terms]
+    roots = [term(dag) for term in terms]
     return roots, dag.freeze()
 
 

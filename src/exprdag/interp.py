@@ -3,9 +3,8 @@ counter, and string renderers (flat and let-aware)."""
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+import itertools
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .builders import FullBuilder, Program, require_name
 
@@ -37,7 +36,11 @@ def env_from_pairs(pairs: Iterable[tuple[str, int]]) -> dict[str, int]:
 
 
 class Evaluator(FullBuilder[Callable[[Env], int]]):
-    """Terms are functions from an environment to a 64-bit integer."""
+    """Terms are functions from an environment to a 64-bit integer.
+
+    let_ is call-by-value: it computes its bound term once per run and hands
+    the body that value, however often the body uses it.
+    """
 
     def constant(self, value):
         result = wrap64(value)
@@ -64,7 +67,11 @@ class Evaluator(FullBuilder[Callable[[Env], int]]):
         return lambda env: wrap64(left(env) - right(env))
 
     def let_(self, bound, body):
-        return body(bound)
+        def run(env: Env) -> int:
+            value = bound(env)
+            return body(lambda _env: value)(env)
+
+        return run
 
 
 def evaluate(program: Program, env: Env) -> int:
@@ -128,88 +135,57 @@ def print_flat(program: Program) -> str:
     return program(FlatPrinter())
 
 
-class NameSupply:
-    """Allocates binder names v0, v1, ... in rendering encounter order."""
-
-    def __init__(self) -> None:
-        self.counter = 0
-
-    def fresh(self) -> str:
-        name = f"v{self.counter}"
-        self.counter += 1
-        return name
-
-
-class _Shape(enum.Enum):
-    ATOM = "atom"
-    OP = "op"
-    LET = "let"
-
-
-@dataclass(frozen=True)
-class _Rendering:
-    """Deferred string under a shared name supply. The shape records enough
-    structure to insert the few parentheses that keep output re-parseable."""
-
-    run: Callable[[NameSupply], str]
-    shape: _Shape
-
-
-class LetPrinter(FullBuilder[_Rendering]):
+class LetPrinter(FullBuilder[Callable[[Iterator[int], int], str]]):
     """Renders let_ as ``let vN = bound in body``.
 
-    One supply threads through the whole rendering: a binder draws its index
-    after its bound expression has been rendered and before its body, so
-    names are distinct and increase left to right.
+    A term is a function ``run(supply, prec)``. ``supply`` is one counter
+    threaded through the whole rendering: a binder draws its index after its
+    bound expression has been rendered and before its body, so names are
+    distinct and increase left to right. ``prec`` is the level the context
+    asks for (let 0, operator 1, atom 2); a term of a lower level brackets
+    itself, which inserts the few parentheses that keep output re-parseable.
     """
 
     def constant(self, value):
         text = str(value)
-        return _Rendering(lambda supply: text, _Shape.ATOM)
+        return lambda supply, prec: text
 
     def variable(self, name):
         require_name(name)
-        return _Rendering(lambda supply: name, _Shape.ATOM)
+        return lambda supply, prec: name
 
     def add(self, left, right):
-        def run(supply):
-            lhs = left.run(supply)
-            rhs = right.run(supply)
-            return f"{lhs} + {rhs}"
+        def run(supply, prec):
+            text = f"{left(supply, 0)} + {right(supply, 0)}"
+            return f"({text})" if prec > 1 else text
 
-        return _Rendering(run, _Shape.OP)
+        return run
 
     def neg(self, operand):
-        def run(supply):
-            text = operand.run(supply)
-            if operand.shape is not _Shape.ATOM:
-                text = f"({text})"
-            return f"-{text}"
+        def run(supply, prec):
+            text = f"-{operand(supply, 2)}"
+            return f"({text})" if prec > 1 else text
 
-        return _Rendering(run, _Shape.OP)
+        return run
 
     def sub(self, left, right):
-        def run(supply):
-            lhs = left.run(supply)
-            rhs = right.run(supply)
-            if right.shape is not _Shape.ATOM:
-                rhs = f"({rhs})"
-            return f"{lhs} - {rhs}"
+        def run(supply, prec):
+            text = f"{left(supply, 0)} - {right(supply, 2)}"
+            return f"({text})" if prec > 1 else text
 
-        return _Rendering(run, _Shape.OP)
+        return run
 
     def let_(self, bound, body):
-        def run(supply):
-            bound_text = bound.run(supply)
-            if bound.shape is _Shape.LET:
-                bound_text = f"({bound_text})"
-            name = supply.fresh()
-            body_text = body(_Rendering(lambda _supply: name, _Shape.ATOM)).run(supply)
-            return f"let {name} = {bound_text} in {body_text}"
+        def run(supply, prec):
+            bound_text = bound(supply, 1)
+            name = f"v{next(supply)}"
+            body_text = body(lambda _supply, _prec: name)(supply, 0)
+            text = f"let {name} = {bound_text} in {body_text}"
+            return f"({text})" if prec > 0 else text
 
-        return _Rendering(run, _Shape.LET)
+        return run
 
 
 def print_let(program: Program) -> str:
     """Render a program with its sharing shown as let bindings."""
-    return program(LetPrinter()).run(NameSupply())
+    return program(LetPrinter())(itertools.count(), 0)

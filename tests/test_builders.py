@@ -5,7 +5,7 @@ import pytest
 from exprdag.builders import (
     Add,
     Constant,
-    ExprBuilder,
+    FullBuilder,
     Neg,
     Sub,
     TreeBuilder,
@@ -83,7 +83,7 @@ def test_trees_are_immutable():
 
 
 def test_partial_builder_cannot_be_instantiated():
-    class OnlyAdd(ExprBuilder):
+    class OnlyAdd(FullBuilder):
         def add(self, left, right):
             return (left, right)
 

@@ -152,6 +152,15 @@ class TestBench:
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["eval", "show", "size", "compile"])
+def test_too_deep_input_exits_2_with_one_line(capsys, monkeypatch, command):
+    nested = "(" * 600 + "1" + ")" * 600
+    code, out, err = run_cli(capsys, monkeypatch, [command], stdin=nested)
+    assert code == 2
+    assert out == ""
+    assert err == "error: program nests too deeply\n"
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "exprdag", "eval", "--var", "i1=5", "-"],

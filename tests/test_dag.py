@@ -192,5 +192,5 @@ def test_terms_can_be_rerun_in_fresh_sessions():
     term = exp_mul4(DagBuilder())
     first = Dag()
     second = Dag()
-    assert term.run(first) == term.run(second) == 2
+    assert term(first) == term(second) == 2
     assert first.freeze() == second.freeze()

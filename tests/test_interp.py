@@ -4,7 +4,6 @@ import pytest
 
 from exprdag.generators import mul, mul_shared
 from exprdag.interp import (
-    NameSupply,
     UnboundVariableError,
     env_from_pairs,
     evaluate,
@@ -69,6 +68,24 @@ class TestEvaluate:
     def test_let_unused_binding(self):
         program = lambda b: b.let_(b.variable("x"), lambda _y: b.constant(3))
         assert evaluate(program, {"x": 1}) == 3
+
+    def test_let_evaluates_its_bound_term_once(self):
+        class CountingEnv(dict):
+            lookups = 0
+
+            def __getitem__(self, name):
+                self.lookups += 1
+                return super().__getitem__(name)
+
+        def doublings(b, term, depth):
+            if depth == 0:
+                return term
+            return b.let_(b.add(term, term), lambda t: doublings(b, t, depth - 1))
+
+        env = CountingEnv(x=3)
+        program = lambda b: b.let_(b.variable("x"), lambda t: doublings(b, t, 20))
+        assert evaluate(program, env) == 3 * 2**20
+        assert env.lookups == 1
 
     def test_duplicate_env_pairs_first_binding_wins(self):
         env = env_from_pairs([("x", 1), ("x", 2), ("y", 7)])
@@ -146,6 +163,8 @@ class TestPrintLet:
     def test_neg_of_a_compound_is_bracketed(self):
         program = lambda b: b.neg(b.add(b.variable("x"), b.variable("y")))
         assert print_let(program) == "-(x + y)"
+        program = lambda b: b.neg(b.let_(b.variable("y"), lambda t: b.add(t, t)))
+        assert print_let(program) == "-(let v0 = y in v0 + v0)"
 
     def test_neg_of_an_atom_is_bare(self):
         assert print_let(lambda b: b.neg(b.variable("x"))) == "-x"
@@ -153,6 +172,10 @@ class TestPrintLet:
     def test_sub_right_compound_is_bracketed(self):
         program = lambda b: b.sub(b.variable("x"), b.sub(b.variable("y"), b.variable("z")))
         assert print_let(program) == "x - (y - z)"
+        program = lambda b: b.sub(
+            b.variable("x"), b.let_(b.variable("y"), lambda t: b.add(t, t))
+        )
+        assert print_let(program) == "x - (let v0 = y in v0 + v0)"
 
     def test_sub_left_stays_bare(self):
         program = lambda b: b.sub(b.add(b.variable("x"), b.variable("y")), b.variable("z"))
@@ -161,7 +184,3 @@ class TestPrintLet:
     def test_rendering_twice_restarts_the_numbering(self):
         program = exp_mul4_shared
         assert print_let(program) == print_let(program)
-
-    def test_name_supply_counts_up(self):
-        supply = NameSupply()
-        assert [supply.fresh() for _ in range(3)] == ["v0", "v1", "v2"]
