@@ -12,8 +12,8 @@ import time
 from pathlib import Path
 from statistics import median
 
-from .dag import build_dag, format_dag
-from .generators import mul, mul_shared
+from .dag import build_dag, build_forest, format_dag
+from .generators import mul, mul_shared, sklansky, sklansky_shared
 from .interp import UnboundVariableError, env_from_pairs, evaluate, print_let, size
 from .netlist import emit_netlist, emit_threeaddr
 from .parser import ParseError, elaborate, parse
@@ -68,20 +68,31 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-_GENERATORS = {"mul": mul, "mul-shared": mul_shared}
+def _inputs(builder, count):
+    return [builder.variable(f"i{k}") for k in range(count)]
+
+
+#: Each generator maps a builder and --n to the forest's terms: mul gens
+#: take n as the multiplier of one input, sklansky gens as the input count.
+_GENERATORS = {
+    "mul": lambda b, n: [mul(b, n, b.variable("i"))],
+    "mul-shared": lambda b, n: [mul_shared(b, n, b.variable("i"))],
+    "sklansky": lambda b, n: sklansky(b.add, _inputs(b, n)),
+    "sklansky-shared": lambda b, n: sklansky_shared(b, _inputs(b, n)),
+}
 
 
 def _cmd_bench(args) -> int:
     generator = _GENERATORS[args.gen]
 
     def program(builder):
-        return generator(builder, args.n, builder.variable("i"))
+        return generator(builder, args.n)
 
     times_ms = []
     nodes = 0
     for _ in range(args.repeat):
         start = time.perf_counter()
-        _root, dag = build_dag(program)
+        _roots, dag = build_forest(program)
         times_ms.append((time.perf_counter() - start) * 1000.0)
         nodes = len(dag)
     print(f"{args.gen},{args.n},{nodes},{median(times_ms):.3f}")
@@ -130,7 +141,12 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time DAG construction for a generated workload")
     p_bench.add_argument("--gen", choices=sorted(_GENERATORS), required=True)
-    p_bench.add_argument("--n", type=int, required=True, help="multiplier (n >= 0)")
+    p_bench.add_argument(
+        "--n",
+        type=int,
+        required=True,
+        help="multiplier for mul gens, input count for sklansky gens (n >= 0)",
+    )
     p_bench.add_argument("--repeat", type=int, default=5, help="runs to take the median of")
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -6,8 +6,9 @@ smaller ids. A DagBuilder term is a plain function from the Dag under
 construction to the term's node id. Construction works bottom-up: consing a
 node first looks it up in the Dag's node-to-id table, and only inserts on a
 miss. The explicit sharing form runs its bound expression once and
-replicates the resulting id, which is what makes compact programs build in
-time proportional to the DAG rather than to the expanded tree.
+replicates the resulting id, and a let term is built once per Dag however
+many roots reach it; that is what makes compact programs build in time
+proportional to the DAG rather than to the expanded tree.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ class Dag:
     def __init__(self) -> None:
         self._ids: dict[Node, NodeId] = {}
         self._nodes: list[Node] = []
+        self._lets: dict[object, NodeId] = {}
         self._frozen = False
 
     def __len__(self) -> int:
@@ -99,8 +101,9 @@ class Dag:
         return node_id
 
     def freeze(self) -> Dag:
-        """Reject any further hashcons and return this Dag."""
+        """Reject any further hashcons, let terms included, and return this Dag."""
         self._frozen = True
+        self._lets.clear()
         return self
 
     def node(self, node_id: NodeId) -> Node:
@@ -129,7 +132,9 @@ BuildSession = Dag
 #: A DagBuilder term: running it conses the term's nodes into a Dag and
 #: yields the term's node id. Terms stay deferred rather than already-built
 #: ids, so a term that appears twice is built twice unless the program
-#: shares it with let_; hash-consing still collapses the duplicates.
+#: shares it with let_; hash-consing still collapses the duplicates. A let_
+#: term is built once per Dag: later runs against the same Dag return the
+#: id the first run built.
 DagTerm = Callable[[Dag], NodeId]
 
 
@@ -137,7 +142,9 @@ class DagBuilder(FullBuilder[DagTerm]):
     """Builds hash-consed DAGs bottom-up, left to right.
 
     let_ is the one construct that forces a computation exactly once and
-    hands every use in the body the already-allocated id.
+    hands every use in the body the already-allocated id. Its term keeps
+    that id in the Dag under a key of its own, not under itself: a key
+    naming the closure would put every let term in a reference cycle.
     """
 
     def constant(self, value):
@@ -157,9 +164,14 @@ class DagBuilder(FullBuilder[DagTerm]):
         return lambda dag: dag.hashcons(NSub(left(dag), right(dag)))
 
     def let_(self, bound, body):
+        key = object()
+
         def run(dag):
-            shared = bound(dag)
-            return body(lambda _dag: shared)(dag)
+            node_id = dag._lets.get(key)
+            if node_id is None:
+                shared = bound(dag)
+                node_id = dag._lets[key] = body(lambda _dag: shared)(dag)
+            return node_id
 
         return run
 
@@ -174,7 +186,8 @@ def build_forest(program: Callable[[DagBuilder], Sequence[DagTerm]]) -> tuple[li
     """Compile a program yielding several terms against one shared Dag.
 
     All terms are built in list order into a single Dag, so equal
-    subexpressions are shared across independent roots.
+    subexpressions are shared across independent roots, and a let term
+    that several roots reach is built by the first and reused by the rest.
     """
     terms = program(DagBuilder())
     dag = Dag()

@@ -135,16 +135,21 @@ def print_flat(program: Program) -> str:
     return program(FlatPrinter())
 
 
-class LetPrinter(FullBuilder[Callable[[Iterator[int], int], str]]):
+class LetPrinter(FullBuilder[Callable[[Iterator[str], int], str]]):
     """Renders let_ as ``let vN = bound in body``.
 
-    A term is a function ``run(supply, prec)``. ``supply`` is one counter
-    threaded through the whole rendering: a binder draws its index after its
-    bound expression has been rendered and before its body, so names are
-    distinct and increase left to right. ``prec`` is the level the context
-    asks for (let 0, operator 1, atom 2); a term of a lower level brackets
-    itself, which inserts the few parentheses that keep output re-parseable.
+    A term is a function ``run(supply, prec)``. ``supply`` is one iterator of
+    binder names threaded through the whole rendering: a binder draws its
+    name after its bound expression has been rendered and before its body,
+    so names are distinct and increase left to right. ``prec`` is the level
+    the context asks for (let 0, operator 1, atom 2); a term of a lower level
+    brackets itself, which inserts the few parentheses that keep output
+    re-parseable. ``free`` collects every variable name the program uses, so
+    print_let can keep binders from capturing them.
     """
+
+    def __init__(self) -> None:
+        self.free: set[str] = set()
 
     def constant(self, value):
         text = str(value)
@@ -152,6 +157,7 @@ class LetPrinter(FullBuilder[Callable[[Iterator[int], int], str]]):
 
     def variable(self, name):
         require_name(name)
+        self.free.add(name)
         return lambda supply, prec: name
 
     def add(self, left, right):
@@ -178,7 +184,7 @@ class LetPrinter(FullBuilder[Callable[[Iterator[int], int], str]]):
     def let_(self, bound, body):
         def run(supply, prec):
             bound_text = bound(supply, 1)
-            name = f"v{next(supply)}"
+            name = next(supply)
             body_text = body(lambda _supply, _prec: name)(supply, 0)
             text = f"let {name} = {bound_text} in {body_text}"
             return f"({text})" if prec > 0 else text
@@ -186,6 +192,27 @@ class LetPrinter(FullBuilder[Callable[[Iterator[int], int], str]]):
         return run
 
 
+def _binder_names(skip: set[str], drawn: list[str]) -> Iterator[str]:
+    """``v0, v1, ...`` minus the names in ``skip``, noting each one drawn."""
+    for index in itertools.count():
+        name = f"v{index}"
+        if name not in skip:
+            drawn.append(name)
+            yield name
+
+
 def print_let(program: Program) -> str:
-    """Render a program with its sharing shown as let bindings."""
-    return program(LetPrinter())(itertools.count(), 0)
+    """Render a program with its sharing shown as let bindings.
+
+    Binders are named ``v0, v1, ...``, skipping every free variable name so
+    that no binder captures one. A let body's variables are only known once
+    the body has been built during rendering, so a rendering whose binders
+    met a name found later in it is done again with every free name known.
+    """
+    printer = LetPrinter()
+    term = program(printer)
+    drawn: list[str] = []
+    text = term(_binder_names(printer.free, drawn), 0)
+    if printer.free.isdisjoint(drawn):
+        return text
+    return term(_binder_names(printer.free, []), 0)

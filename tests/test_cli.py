@@ -127,6 +127,18 @@ class TestBench:
         assert (gen, n, nodes) == ("mul", "0", "1")
         assert float(ms) >= 0.0
 
+    @pytest.mark.parametrize(
+        "gen, n, nodes", [("sklansky-shared", 1024, 6144), ("sklansky", 64, 256)]
+    )
+    def test_sklansky_gens_take_n_as_the_input_count(self, capsys, monkeypatch, gen, n, nodes):
+        code, out, _ = run_cli(
+            capsys, monkeypatch, ["bench", "--gen", gen, "--n", str(n), "--repeat", "1"]
+        )
+        assert code == 0
+        row_gen, row_n, row_nodes, ms = self.parse_row(out)
+        assert (row_gen, row_n, row_nodes) == (gen, str(n), str(nodes))
+        assert float(ms) >= 0.0
+
     def test_unshared_build_time_roughly_doubles(self, capsys, monkeypatch):
         def run(n):
             code, out, _ = run_cli(

@@ -12,11 +12,34 @@ from exprdag.dag import (
     build_forest,
     format_dag,
 )
-from exprdag.generators import mul, mul_shared, sklansky
+from exprdag.generators import mul, mul_shared, sklansky, sklansky_shared
 
 
 def exp_mul4(b):
     return mul(b, 4, b.variable("i1"))
+
+
+def inputs(b, count):
+    return [b.variable(f"i{k}") for k in range(count)]
+
+
+class CountingDag(Dag):
+    """A Dag that counts hashcons calls, hits and misses alike."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def hashcons(self, node):
+        self.calls += 1
+        return super().hashcons(node)
+
+
+def counted_forest(program):
+    dag = CountingDag()
+    for term in program(DagBuilder()):
+        term(dag)
+    return dag
 
 
 MUL4_ITEMS = [(0, NVar("i1")), (1, NAdd(0, 0)), (2, NAdd(1, 1))]
@@ -81,6 +104,15 @@ class TestHashcons:
         assert dag.freeze() is dag
         with pytest.raises(RuntimeError):
             dag.hashcons(NConst(1))
+
+    def test_frozen_dag_rejects_a_let_term_it_already_built(self):
+        b = DagBuilder()
+        term = mul_shared(b, 4, b.variable("i1"))
+        dag = Dag()
+        assert term(dag) == 2
+        dag.freeze()
+        with pytest.raises(RuntimeError):
+            term(dag)
 
 
 class TestBuildDag:
@@ -157,6 +189,20 @@ class TestBuildForest:
         assert dag.items() == MUL4_ITEMS
 
 
+class TestForestCost:
+    """The cost shape of forest builds, counted in hashcons calls."""
+
+    @pytest.mark.parametrize("count", [256, 1024])
+    def test_shared_forest_builds_each_let_once(self, count):
+        dag = counted_forest(lambda b: sklansky_shared(b, inputs(b, count)))
+        assert dag.calls <= 2 * len(dag)
+
+    def test_unshared_forest_rebuilds_every_prefix(self):
+        dag = counted_forest(lambda b: sklansky(b.add, inputs(b, 256)))
+        assert len(dag) == 1280
+        assert dag.calls == 256 * 256
+
+
 class TestDisplay:
     def test_single_root_format(self):
         root, dag = build_dag(exp_mul4)
@@ -193,4 +239,12 @@ def test_terms_can_be_rerun_in_fresh_sessions():
     first = Dag()
     second = Dag()
     assert term(first) == term(second) == 2
+    assert first.freeze() == second.freeze()
+
+    b = DagBuilder()
+    terms = sklansky_shared(b, inputs(b, 8))
+    first = Dag()
+    second = Dag()
+    assert [term(first) for term in terms] == [term(second) for term in terms]
+    assert len(second) == 8 + 12
     assert first.freeze() == second.freeze()

@@ -181,6 +181,10 @@ class TestPrintLet:
         program = lambda b: b.sub(b.add(b.variable("x"), b.variable("y")), b.variable("z"))
         assert print_let(program) == "x + y - z"
 
+    def test_binders_skip_free_variable_names(self):
+        program = lambda b: b.let_(b.variable("y"), lambda a: b.add(a, b.variable("v0")))
+        assert print_let(program) == "let v1 = y in v1 + v0"
+
     def test_rendering_twice_restarts_the_numbering(self):
         program = exp_mul4_shared
         assert print_let(program) == print_let(program)

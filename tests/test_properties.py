@@ -13,7 +13,9 @@ from exprdag.parser import parse
 
 import helpers
 
-NAMES = helpers.FREE_NAMES + helpers.LET_NAMES
+# v0 and v1 are the names print_let gives its first binders, so the round
+# trip also checks that no binder captures a free variable.
+NAMES = helpers.FREE_NAMES + helpers.LET_NAMES + ("v0", "v1")
 
 
 def leaves():
