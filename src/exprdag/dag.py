@@ -2,18 +2,20 @@
 
 A compiled program is a dense array of flat nodes where structurally equal
 subexpressions occupy exactly one slot and every node's children sit at
-smaller ids. A DagBuilder term is a plain function from the Dag under
-construction to the term's node id. Construction works bottom-up: consing a
-node first looks it up in the Dag's node-to-id table, and only inserts on a
-miss. The explicit sharing form runs its bound expression once and
-replicates the resulting id, and a let term is built once per Dag however
-many roots reach it; that is what makes compact programs build in time
-proportional to the DAG rather than to the expanded tree.
+smaller ids. A node is a kind-tagged tuple such as ``("add", left, right)``,
+so the hash-consing table hashes and compares nodes as plain tuples. A
+DagBuilder term is a plain function from the Dag under construction to the
+term's node id. Construction works bottom-up: consing a node first looks it
+up in the Dag's node-to-id table, and only inserts on a miss. The explicit
+sharing form runs its bound expression once and replicates the resulting id,
+and a let term is built once per Dag however many roots reach it; that is
+what makes compact programs build in time proportional to the DAG rather
+than to the expanded tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .builders import FullBuilder, Program, require_name
@@ -21,64 +23,99 @@ from .builders import FullBuilder, Program, require_name
 NodeId = int
 
 
-class Node:
-    """Base of the flat node variants; children are ids of earlier nodes."""
+class Node(tuple):
+    """Base of the flat node variants: the tuple ``(kind, *fields)``.
+
+    Children are ids of earlier nodes. Equality and hashing are tuple's, so
+    a node equals the plain tuple with the same kind tag and fields, and the
+    tag keeps nodes of different kinds apart.
+    """
+
+    __slots__ = ()
+
+    def __getnewargs__(self):
+        """Pickle and copy rebuild a node from its fields, without the tag."""
+        return self[1:]
 
 
-@dataclass(frozen=True)
 class NConst(Node):
-    value: int
+    __slots__ = ()
+    __match_args__ = ("value",)
+    value = property(itemgetter(1))
+
+    def __new__(cls, value: int):
+        return tuple.__new__(cls, ("const", value))
 
     def __str__(self):
         return f"NConst {self.value}"
 
 
-@dataclass(frozen=True)
 class NVar(Node):
-    name: str
+    __slots__ = ()
+    __match_args__ = ("name",)
+    name = property(itemgetter(1))
+
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, ("var", name))
 
     def __str__(self):
         return f'NVar "{self.name}"'
 
 
-@dataclass(frozen=True)
 class NAdd(Node):
-    left: NodeId
-    right: NodeId
+    __slots__ = ()
+    __match_args__ = ("left", "right")
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
+
+    def __new__(cls, left: NodeId, right: NodeId):
+        return tuple.__new__(cls, ("add", left, right))
 
     def __str__(self):
         return f"NAdd {self.left} {self.right}"
 
 
-@dataclass(frozen=True)
 class NNeg(Node):
-    operand: NodeId
+    __slots__ = ()
+    __match_args__ = ("operand",)
+    operand = property(itemgetter(1))
+
+    def __new__(cls, operand: NodeId):
+        return tuple.__new__(cls, ("neg", operand))
 
     def __str__(self):
         return f"NNeg {self.operand}"
 
 
-@dataclass(frozen=True)
 class NSub(Node):
-    left: NodeId
-    right: NodeId
+    __slots__ = ()
+    __match_args__ = ("left", "right")
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
+
+    def __new__(cls, left: NodeId, right: NodeId):
+        return tuple.__new__(cls, ("sub", left, right))
 
     def __str__(self):
         return f"NSub {self.left} {self.right}"
+
+
+_NODE_TYPES = {"const": NConst, "var": NVar, "add": NAdd, "neg": NNeg, "sub": NSub}
 
 
 class Dag:
     """A sharing-maximal node store: the hash-consing table.
 
     A dict maps each node to its id and a list maps each id back to its
-    node, so both directions are O(1). Ids are dense from 0, children always
-    live at smaller ids, and no two ids hold equal nodes. A build grows one
-    Dag through hashcons and freezes it on handoff; the Dags returned by
-    build_dag/build_forest are frozen, so nothing mutates them afterwards.
+    node, so both directions are O(1); both hold the typed ``N*`` node. Ids
+    are dense from 0, children always live at smaller ids, and no two ids
+    hold equal nodes. A build grows one Dag through hashcons and freezes it
+    on handoff; the Dags returned by build_dag/build_forest are frozen, so
+    nothing mutates them afterwards.
     """
 
     def __init__(self) -> None:
-        self._ids: dict[Node, NodeId] = {}
+        self._ids: dict[tuple, NodeId] = {}
         self._nodes: list[Node] = []
         self._lets: dict[object, NodeId] = {}
         self._frozen = False
@@ -86,15 +123,18 @@ class Dag:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def hashcons(self, node: Node) -> NodeId:
+    def hashcons(self, node: tuple) -> NodeId:
         """Return the id of an equal existing node, inserting on a miss.
 
-        The node's children must already be allocated in this Dag.
+        The node is an ``N*`` node or the equal plain tagged tuple, such as
+        ``("add", 0, 1)``; a miss stores it as the typed node. Its children
+        must already be allocated in this Dag.
         """
         if self._frozen:
             raise RuntimeError("Dag is frozen")
         node_id = self._ids.get(node)
         if node_id is None:
+            node = tuple.__new__(_NODE_TYPES[node[0]], node)
             node_id = len(self._nodes)
             self._ids[node] = node_id
             self._nodes.append(node)
@@ -148,20 +188,22 @@ class DagBuilder(FullBuilder[DagTerm]):
     """
 
     def constant(self, value):
-        return lambda dag: dag.hashcons(NConst(value))
+        key = ("const", value)
+        return lambda dag: dag.hashcons(key)
 
     def variable(self, name):
         require_name(name)
-        return lambda dag: dag.hashcons(NVar(name))
+        key = ("var", name)
+        return lambda dag: dag.hashcons(key)
 
     def add(self, left, right):
-        return lambda dag: dag.hashcons(NAdd(left(dag), right(dag)))
+        return lambda dag: dag.hashcons(("add", left(dag), right(dag)))
 
     def neg(self, operand):
-        return lambda dag: dag.hashcons(NNeg(operand(dag)))
+        return lambda dag: dag.hashcons(("neg", operand(dag)))
 
     def sub(self, left, right):
-        return lambda dag: dag.hashcons(NSub(left(dag), right(dag)))
+        return lambda dag: dag.hashcons(("sub", left(dag), right(dag)))
 
     def let_(self, bound, body):
         key = object()

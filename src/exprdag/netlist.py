@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .dag import Dag, NAdd, NConst, NNeg, NodeId, NSub, NVar
+from .dag import Dag, NodeId
 from .interp import Env, UnboundVariableError, wrap64
 
 
@@ -20,18 +20,18 @@ def eval_dag(dag: Dag, root: NodeId, env: Env) -> int:
         if node_id > root:
             break
         match node:
-            case NConst(value):
+            case ("const", value):
                 values.append(wrap64(value))
-            case NVar(name):
+            case ("var", name):
                 try:
                     values.append(wrap64(env[name]))
                 except KeyError:
                     raise UnboundVariableError(name) from None
-            case NAdd(left, right):
+            case ("add", left, right):
                 values.append(wrap64(values[left] + values[right]))
-            case NNeg(operand):
+            case ("neg", operand):
                 values.append(wrap64(-values[operand]))
-            case NSub(left, right):
+            case ("sub", left, right):
                 values.append(wrap64(values[left] - values[right]))
     return values[root]
 
@@ -41,15 +41,15 @@ def emit_netlist(dag: Dag, roots: Iterable[NodeId]) -> str:
     lines = []
     for node_id, node in dag.items():
         match node:
-            case NConst(value):
+            case ("const", value):
                 rhs = f"const {value}"
-            case NVar(name):
+            case ("var", name):
                 rhs = f"input {name}"
-            case NAdd(left, right):
+            case ("add", left, right):
                 rhs = f"add n{left} n{right}"
-            case NNeg(operand):
+            case ("neg", operand):
                 rhs = f"neg n{operand}"
-            case NSub(left, right):
+            case ("sub", left, right):
                 rhs = f"sub n{left} n{right}"
         lines.append(f"n{node_id} = {rhs}")
     for root in roots:
@@ -65,15 +65,15 @@ def emit_threeaddr(dag: Dag, root: NodeId) -> str:
     lines = []
     for node_id, node in dag.items():
         match node:
-            case NConst(value):
+            case ("const", value):
                 lines.append(f"LOADI r{node_id}, {value}")
-            case NVar(name):
+            case ("var", name):
                 lines.append(f"LOADV r{node_id}, {name}")
-            case NAdd(left, right):
+            case ("add", left, right):
                 lines.append(f"ADD r{node_id}, r{left}, r{right}")
-            case NNeg(operand):
+            case ("neg", operand):
                 lines.append(f"NEG r{node_id}, r{operand}")
-            case NSub(left, right):
+            case ("sub", left, right):
                 lines.append(f"SUB r{node_id}, r{left}, r{right}")
     lines.append(f"RET r{root}")
     return "".join(line + "\n" for line in lines)

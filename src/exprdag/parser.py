@@ -117,7 +117,15 @@ class _Parser:
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            return Constant(int(token.text))
+            try:
+                value = int(token.text)
+            except ValueError:  # longer than the interpreter's int-to-string limit
+                raise ParseError(
+                    f"integer literal of {len(token.text)} digits is too long",
+                    token.line,
+                    token.col,
+                ) from None
+            return Constant(value)
         if token.kind == "ident":
             self.advance()
             return Variable(token.text)

@@ -1,10 +1,15 @@
 """The command-line front end."""
 
+import contextlib
 import io
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exprdag.cli import main
 
@@ -65,6 +70,16 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_overlong_integer_literal_exits_2_with_one_error_line(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        source = tmp_path / "big.expr"
+        source.write_text("1" * 5000 + " + x\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, monkeypatch, ["eval", "--var", "x=1", str(source)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: 1:1: ") and err.count("\n") == 1
 
 
 class TestShowAndSize:
@@ -171,6 +186,33 @@ def test_too_deep_input_exits_2_with_one_line(capsys, monkeypatch, command):
     assert code == 2
     assert out == ""
     assert err == "error: program nests too deeply\n"
+
+
+# Text near the DSL's grammar reaches the parser and backends; arbitrary
+# text and bytes reach the tokenizer and the file decoder.
+DSL_TEXT = st.lists(
+    st.sampled_from(["let", "in", "=", "+", "-", "(", ")", " ", "\n", "x", "t", "0", "7"]),
+    max_size=30,
+).map("".join)
+PROGRAM_BYTES = st.one_of(DSL_TEXT.map(str.encode), st.text().map(str.encode), st.binary())
+
+
+@pytest.mark.parametrize("command", ["eval", "show", "size", "compile"])
+@settings(max_examples=100, deadline=None)
+@given(data=PROGRAM_BYTES)
+def test_any_input_ends_in_a_known_exit_code_and_one_error_line(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "prog.expr"
+        source.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(source)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_module_entry_point_runs():

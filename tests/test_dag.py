@@ -1,5 +1,7 @@
 """The node store, hash-consing, and DAG construction."""
 
+import pickle
+
 import pytest
 
 from exprdag.dag import (
@@ -7,6 +9,8 @@ from exprdag.dag import (
     DagBuilder,
     NAdd,
     NConst,
+    NNeg,
+    NSub,
     NVar,
     build_dag,
     build_forest,
@@ -97,6 +101,32 @@ class TestHashcons:
         dag = Dag()
         dag.hashcons(NVar("i1"))
         assert dag.hashcons(NAdd(0, 0)) == 1
+
+    def test_the_kind_tag_separates_node_kinds(self):
+        dag = Dag()
+        assert dag.hashcons(NAdd(0, 1)) != dag.hashcons(NSub(0, 1))
+        assert dag.hashcons(NConst(0)) != dag.hashcons(NNeg(0))
+        assert len(dag) == 4
+
+    def test_a_plain_tagged_tuple_conses_to_the_typed_node(self):
+        dag = Dag()
+        dag.hashcons(NVar("i1"))
+        assert dag.hashcons(("add", 0, 0)) == dag.hashcons(NAdd(0, 0)) == 1
+        node = dag.node(1)
+        assert type(node) is NAdd
+        match node:
+            case NAdd(left, right):
+                assert (left, right) == (0, 0)
+            case _:
+                pytest.fail(f"NAdd pattern did not match {node!r}")
+
+    def test_nodes_survive_pickling(self):
+        _, dag = build_dag(
+            lambda b: b.sub(b.neg(b.variable("x")), b.add(b.constant(1), b.constant(1)))
+        )
+        again = pickle.loads(pickle.dumps(dag))
+        assert again == dag
+        assert [type(node) for _, node in again.items()] == [NVar, NNeg, NConst, NAdd, NSub]
 
     def test_frozen_session_rejects_further_consing(self):
         dag = Dag()
@@ -225,6 +255,8 @@ class TestDisplay:
         assert str(NConst(10)) == "NConst 10"
         assert str(NVar("i1")) == 'NVar "i1"'
         assert str(NAdd(0, 1)) == "NAdd 0 1"
+        assert str(NNeg(2)) == "NNeg 2"
+        assert str(NSub(0, 1)) == "NSub 0 1"
 
 
 def test_dag_node_accessor_validates_ids():

@@ -59,6 +59,13 @@ class TestParse:
             parse("1 $ 2")
         assert err.value.col == 3
 
+    def test_overlong_integer_literal_is_a_syntax_error(self):
+        # 5,000 digits is past CPython's default int-to-string limit of 4,300
+        with pytest.raises(ParseError) as err:
+            parse("x +\n  " + "1" * 5000 + " + x")
+        assert (err.value.line, err.value.col) == (2, 3)
+        assert "too long" in str(err.value)
+
     def test_trailing_input_rejected(self):
         with pytest.raises(ParseError):
             parse("1 2")
