@@ -7,6 +7,7 @@ input errors, 3 for evaluation errors.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from pathlib import Path
@@ -30,6 +31,11 @@ def _program_from(args) -> object:
     return lambda builder: elaborate(ast, builder)
 
 
+#: What int() accepts as a decimal literal; it still refuses one whose digits
+#: pass the interpreter's int-to-string limit.
+_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
 def _var_binding(text: str) -> tuple[str, int]:
     name, sep, value = text.partition("=")
     if not sep or not name:
@@ -37,7 +43,8 @@ def _var_binding(text: str) -> tuple[str, int]:
     try:
         return name, int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"value for {name!r} must be an integer") from None
+        problem = "is too long" if _INT_TEXT.fullmatch(value) else "must be an integer"
+        raise argparse.ArgumentTypeError(f"value for {name!r} {problem}") from None
 
 
 def _cmd_eval(args) -> int:
@@ -99,8 +106,17 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error: ...`` line, without the usage text.
+
+    Subparsers are made from the same class, so this covers them too."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="exprdag",
         description="Compile and run a small arithmetic DSL with explicit sharing.",
     )

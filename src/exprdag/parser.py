@@ -7,18 +7,25 @@ Grammar, with '+' and '-' on one left-associative level::
            | 'let' IDENT '=' expr 'in' expr
 
 'let'/'in' are reserved; a let body extends as far right as possible.
+
+``parse`` scans, then descends. One regex search rejects the first character
+outside the ASCII alphabet of the grammar, and one ``re.findall`` splits the
+text into token strings, with ``""`` as the end marker. Recursive descent
+walks that list by index and compares strings; no token carries a position.
+A ``ParseError``'s line and column are computed only when it is raised, by
+scanning again to the failing token's offset.
 """
 
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass
+import re
 
 from .builders import Add, Constant, ExprTree, FullBuilder, Let, Neg, Sub, Variable
 
-_IDENT_START = set(string.ascii_letters + "_")
-_IDENT_CONT = set(string.ascii_letters + string.digits + "_")
-_DIGITS = set(string.digits)
+# ASCII only: \d, \w and \s would also admit other Unicode digits, letters
+# and spaces.
+_BAD_CHAR = re.compile(r"[^ \t\r\nA-Za-z0-9_+\-()=]")
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+()=]")
 _RESERVED = ("let", "in")
 
 
@@ -31,134 +38,82 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int", "ident", "let", "in", "+", "-", "(", ")", "=", "eof"
-    text: str
-    line: int
-    col: int
+def _error_at(text: str, offset: int, message: str) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    pos, line, col = 0, 1, 1
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            pos += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            pos += 1
-            col += 1
-            continue
-        if ch in _DIGITS:
-            end = pos
-            while end < n and text[end] in _DIGITS:
-                end += 1
-            tokens.append(Token("int", text[pos:end], line, col))
-            col += end - pos
-            pos = end
-            continue
-        if ch in _IDENT_START:
-            end = pos
-            while end < n and text[end] in _IDENT_CONT:
-                end += 1
-            word = text[pos:end]
-            kind = word if word in _RESERVED else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += end - pos
-            pos = end
-            continue
-        if ch in "+-()=":
-            tokens.append(Token(ch, ch, line, col))
-            pos += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
-
-
-def _describe(token: Token) -> str:
-    return "end of input" if token.kind == "eof" else f"{token.text!r}"
-
-
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, kind: str, what: str) -> Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise ParseError(f"expected {what}, found {_describe(token)}", token.line, token.col)
-        return self.advance()
-
-    def expr(self) -> ExprTree:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
-        return node
-
-    def term(self) -> ExprTree:
-        token = self.peek()
-        if token.kind == "int":
-            self.advance()
-            try:
-                value = int(token.text)
-            except ValueError:  # longer than the interpreter's int-to-string limit
-                raise ParseError(
-                    f"integer literal of {len(token.text)} digits is too long",
-                    token.line,
-                    token.col,
-                ) from None
-            return Constant(value)
-        if token.kind == "ident":
-            self.advance()
-            return Variable(token.text)
-        if token.kind == "-":
-            self.advance()
-            return Neg(self.term())
-        if token.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")", "')'")
-            return node
-        if token.kind == "let":
-            self.advance()
-            name = self.peek()
-            if name.kind in _RESERVED:
-                raise ParseError(
-                    f"reserved word {name.text!r} cannot be used as a name", name.line, name.col
-                )
-            name = self.expect("ident", "a name to bind")
-            self.expect("=", "'='")
-            bound = self.expr()
-            self.expect("in", "'in'")
-            body = self.expr()
-            return Let(name.text, bound, body)
-        raise ParseError(f"expected an expression, found {_describe(token)}", token.line, token.col)
+def _describe(token: str) -> str:
+    return repr(token) if token else "end of input"
 
 
 def parse(text: str) -> ExprTree:
     """Parse program text into an ExprTree, or raise ParseError with position
     information."""
-    parser = _Parser(tokenize(text))
-    node = parser.expr()
-    parser.expect("eof", "end of input")
+    bad = _BAD_CHAR.search(text)
+    if bad:
+        raise _error_at(text, bad.start(), f"unexpected character {bad.group()!r}")
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    pos = 0
+
+    def fail(index: int, message: str) -> ParseError:
+        starts = [match.start() for match in _TOKEN.finditer(text)]
+        return _error_at(text, (starts + [len(text)])[index], message)
+
+    def expect(token: str, what: str) -> None:
+        nonlocal pos
+        if tokens[pos] != token:
+            raise fail(pos, f"expected {what}, found {_describe(tokens[pos])}")
+        pos += 1
+
+    def expr() -> ExprTree:
+        nonlocal pos
+        node = term()
+        while tokens[pos] in ("+", "-"):
+            op = tokens[pos]
+            pos += 1
+            rhs = term()
+            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+        return node
+
+    def term() -> ExprTree:
+        nonlocal pos
+        token = tokens[pos]
+        pos += 1
+        # Tokens are ASCII, so str.isdigit and str.isidentifier sort them
+        # exactly as _TOKEN's alternatives did.
+        if token.isdigit():
+            try:
+                value = int(token)
+            except ValueError:  # longer than the interpreter's int-to-string limit
+                raise fail(
+                    pos - 1, f"integer literal of {len(token)} digits is too long"
+                ) from None
+            return Constant(value)
+        if token == "let":
+            name = tokens[pos]
+            if name in _RESERVED:
+                raise fail(pos, f"reserved word {name!r} cannot be used as a name")
+            if not name.isidentifier():
+                raise fail(pos, f"expected a name to bind, found {_describe(name)}")
+            pos += 1
+            expect("=", "'='")
+            bound = expr()
+            expect("in", "'in'")
+            return Let(name, bound, expr())
+        if token.isidentifier() and token != "in":
+            return Variable(token)
+        if token == "-":
+            return Neg(term())
+        if token == "(":
+            node = expr()
+            expect(")", "')'")
+            return node
+        raise fail(pos - 1, f"expected an expression, found {_describe(token)}")
+
+    node = expr()
+    expect("", "end of input")
     return node
 
 

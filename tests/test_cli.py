@@ -172,11 +172,27 @@ class TestBench:
         with pytest.raises(SystemExit) as err:
             run_cli(capsys, monkeypatch, ["bench", "--gen", "mul", "--n", "-1"])
         assert err.value.code == 2
+        assert capsys.readouterr().err == "error: --n must be >= 0\n"
 
     def test_bad_var_flag_exits_2(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as err:
             run_cli(capsys, monkeypatch, ["eval", "--var", "oops"], stdin="1")
         assert err.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: argument --var: expected NAME=VALUE, got 'oops'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "value, problem",
+        [("12a", "must be an integer"), ("1" * 5000, "is too long")],
+        ids=["not-an-integer", "overlong"],
+    )
+    def test_var_value_errors_are_one_line(self, capsys, monkeypatch, value, problem):
+        # 5,000 digits is past CPython's default int-to-string limit of 4,300
+        with pytest.raises(SystemExit) as err:
+            run_cli(capsys, monkeypatch, ["eval", "--var", f"x={value}"], stdin="x")
+        assert err.value.code == 2
+        assert capsys.readouterr().err == f"error: argument --var: value for 'x' {problem}\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "show", "size", "compile"])
@@ -189,7 +205,7 @@ def test_too_deep_input_exits_2_with_one_line(capsys, monkeypatch, command):
 
 
 # Text near the DSL's grammar reaches the parser and backends; arbitrary
-# text and bytes reach the tokenizer and the file decoder.
+# text and bytes reach the scanner and the file decoder.
 DSL_TEXT = st.lists(
     st.sampled_from(["let", "in", "=", "+", "-", "(", ")", " ", "\n", "x", "t", "0", "7"]),
     max_size=30,

@@ -233,6 +233,20 @@ class TestForestCost:
         assert dag.calls == 256 * 256
 
 
+class TestMulCost:
+    """Criterion 6's cost shape, counted in hashcons calls instead of timed."""
+
+    @pytest.mark.parametrize("n, calls", [(2**12, 8191), (2**13, 16383)])
+    def test_unshared_mul_walks_the_whole_tree(self, n, calls):
+        dag = counted_forest(lambda b: [mul(b, n, b.variable("i"))])
+        assert dag.calls == calls == 2 * n - 1
+
+    @pytest.mark.parametrize("n, calls", [(2**12, 13), (2**20, 21), (2**30, 31)])
+    def test_shared_mul_makes_one_call_per_bit(self, n, calls):
+        dag = counted_forest(lambda b: [mul_shared(b, n, b.variable("i"))])
+        assert dag.calls == calls == n.bit_length()
+
+
 class TestDisplay:
     def test_single_root_format(self):
         root, dag = build_dag(exp_mul4)

@@ -1,6 +1,11 @@
-"""Surface syntax: tokenizing, parsing, and elaboration into terms."""
+"""Surface syntax: scanning, parsing, and elaboration into terms."""
+
+import ast
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exprdag.builders import Add, Constant, Let, Neg, Sub, Variable, lower_to_tree
 from exprdag.dag import NAdd, NVar, build_dag
@@ -40,6 +45,10 @@ class TestParse:
     def test_let_missing_name_is_a_syntax_error(self):
         with pytest.raises(ParseError):
             parse("let in x")
+        with pytest.raises(ParseError) as err:
+            parse("let 3 = 4 in 5")
+        assert (err.value.line, err.value.col) == (1, 5)
+        assert "expected a name to bind, found '3'" in str(err.value)
 
     def test_reserved_words_cannot_be_names(self):
         with pytest.raises(ParseError) as err:
@@ -59,6 +68,30 @@ class TestParse:
             parse("1 $ 2")
         assert err.value.col == 3
 
+    def test_scan_errors_come_before_grammar_errors(self):
+        # '2' is already a grammar error, but the whole text is scanned first
+        with pytest.raises(ParseError) as err:
+            parse("1 2 $")
+        assert (err.value.line, err.value.col) == (1, 5)
+        assert "unexpected character '$'" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, char, col", [("x + \u0663", "\u0663", 5), ("caf\u00e9", "\u00e9", 4)]
+    )
+    def test_non_ascii_digits_and_letters_are_unexpected(self, text, char, col):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (1, col)
+        assert f"unexpected character {char!r}" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, line, col", [("1 +\t)", 1, 5), ("x\t$", 1, 3), ("1 +\r\n  )", 2, 3)]
+    )
+    def test_a_tab_or_carriage_return_is_one_column(self, text, line, col):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
     def test_overlong_integer_literal_is_a_syntax_error(self):
         # 5,000 digits is past CPython's default int-to-string limit of 4,300
         with pytest.raises(ParseError) as err:
@@ -71,8 +104,10 @@ class TestParse:
             parse("1 2")
 
     def test_unclosed_paren(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse("(1 + 2")
+        assert (err.value.line, err.value.col) == (1, 7)
+        assert "found end of input" in str(err.value)
 
     def test_empty_input(self):
         with pytest.raises(ParseError):
@@ -80,6 +115,33 @@ class TestParse:
 
     def test_whitespace_and_newlines_are_insignificant(self):
         assert parse("let y = 1\n  in y") == parse("let y = 1 in y")
+
+
+# Text near the grammar, with characters the scanner rejects.
+GRAMMAR_LIKE = st.lists(
+    st.sampled_from(
+        ["let", "in", "=", "+", "-", "(", ")", " ", "\t", "\n", "\r\n", "x", "t1", "0", "42"]
+        + ["$", "\u00e9"]
+    ),
+    max_size=25,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRAMMAR_LIKE)
+def test_an_error_points_at_the_token_it_names(text):
+    try:
+        parse(text)
+    except ParseError as err:
+        lines = text.split("\n")
+        offset = sum(len(line) + 1 for line in lines[: err.line - 1]) + err.col - 1
+        assert 0 <= err.col - 1 <= len(lines[err.line - 1])
+        named = re.search(r"(?:found|character|word) ('.+?'|end of input)", str(err)).group(1)
+        if named == "end of input":
+            assert offset == len(text)
+        else:
+            token = ast.literal_eval(named)
+            assert text[offset : offset + len(token)] == token
 
 
 class TestElaborate:
