@@ -1,7 +1,7 @@
 """Command-line front end: evaluate, show, size, compile, bench.
 
-Exit codes: 0 on success, 2 for parse, usage, unreadable-input and too-deep
-input errors, 3 for evaluation errors.
+Exit codes: 0 on success, 2 for parse, usage, unreadable-input, too-deep
+input and out-of-memory errors, 3 for evaluation errors.
 """
 
 from __future__ import annotations
@@ -184,6 +184,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RecursionError:
         print("error: program nests too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except UnboundVariableError as exc:
         print(f"error: {exc}", file=sys.stderr)

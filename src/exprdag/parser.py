@@ -14,6 +14,9 @@ text into token strings, with ``""`` as the end marker. Recursive descent
 walks that list by index and compares strings; no token carries a position.
 A ``ParseError``'s line and column are computed only when it is raised, by
 scanning again to the failing token's offset.
+
+``elaborate`` links a (name, term, parent) scope frame per let, not a copy,
+so it is linear in let depth; a name no let has bound skips the chain walk.
 """
 
 from __future__ import annotations
@@ -117,32 +120,40 @@ def parse(text: str) -> ExprTree:
     return node
 
 
-def elaborate(ast: ExprTree, builder: FullBuilder, scope: dict | None = None):
+def elaborate(ast: ExprTree, builder: FullBuilder):
     """Turn an expression tree into a term of the given interpreter.
 
     Let-bound names are translated through let_, inner bindings shadow outer
     ones, and names not bound by any let become free DSL variables. A negated
-    literal folds into a negative constant.
+    literal folds into a negative constant. The scope chain is persistent,
+    not a stack, since let_ may run a body late, twice or out of order.
     """
-    scope = {} if scope is None else scope
-    match ast:
-        case Constant(value):
-            return builder.constant(value)
-        case Variable(name):
-            if name in scope:
-                return scope[name]
+    bound_names = set()  # a binder's name enters before its body can run
+
+    def elab(ast, scope):
+        kind = type(ast)
+        if kind is Add:
+            return builder.add(elab(ast.left, scope), elab(ast.right, scope))
+        if kind is Variable:
+            name = ast.name
+            if name in bound_names:
+                while scope is not None:
+                    if scope[0] == name:
+                        return scope[1]
+                    scope = scope[2]
             return builder.variable(name)
-        case Neg(Constant(value)):
-            return builder.constant(-value)
-        case Add(left, right):
-            return builder.add(elaborate(left, builder, scope), elaborate(right, builder, scope))
-        case Sub(left, right):
-            return builder.sub(elaborate(left, builder, scope), elaborate(right, builder, scope))
-        case Neg(operand):
-            return builder.neg(elaborate(operand, builder, scope))
-        case Let(name, bound, body):
-            bound_term = elaborate(bound, builder, scope)
-            return builder.let_(
-                bound_term, lambda term: elaborate(body, builder, {**scope, name: term})
-            )
-    raise TypeError(f"not an expression tree: {ast!r}")
+        if kind is Sub:
+            return builder.sub(elab(ast.left, scope), elab(ast.right, scope))
+        if kind is Constant:
+            return builder.constant(ast.value)
+        if kind is Let:
+            bound = elab(ast.bound, scope)
+            bound_names.add(ast.name)
+            return builder.let_(bound, lambda term: elab(ast.body, (ast.name, term, scope)))
+        if kind is Neg:
+            if type(ast.operand) is Constant:
+                return builder.constant(-ast.operand.value)
+            return builder.neg(elab(ast.operand, scope))
+        raise TypeError(f"not an expression tree: {ast!r}")
+
+    return elab(ast, None)

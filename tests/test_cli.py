@@ -204,6 +204,20 @@ def test_too_deep_input_exits_2_with_one_line(capsys, monkeypatch, command):
     assert err == "error: program nests too deeply\n"
 
 
+@pytest.mark.parametrize("command", ["eval", "show", "size", "compile"])
+def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, command):
+    # A huge input can exhaust memory in read_text or the scanner, before any
+    # layer checks its size.
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr("exprdag.cli.parse", exhausted)
+    code, out, err = run_cli(capsys, monkeypatch, [command], stdin="1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 # Text near the DSL's grammar reaches the parser and backends; arbitrary
 # text and bytes reach the scanner and the file decoder.
 DSL_TEXT = st.lists(

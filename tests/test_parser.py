@@ -2,14 +2,17 @@
 
 import ast
 import re
+import sys
+import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exprdag.builders import Add, Constant, Let, Neg, Sub, Variable, lower_to_tree
+from exprdag.builders import Add, Constant, FullBuilder, Let, Neg, Sub, Variable, lower_to_tree
 from exprdag.dag import NAdd, NVar, build_dag
-from exprdag.interp import evaluate, print_let
+from exprdag.interp import evaluate, print_let, size
 from exprdag.parser import ParseError, elaborate, parse
 
 import helpers
@@ -171,6 +174,117 @@ class TestElaborate:
         # the same name outside the body is a free variable again
         ast = parse("(let q = 1 in q) + q")
         assert evaluate(helpers.program_of(ast), {"q": 10}) == 11
+
+    def test_a_let_body_run_late_twice_and_out_of_order_sees_its_own_term(self):
+        # Each body run resolves `a` and `b` to the terms of that run, after
+        # elaborate has returned.
+        forced = elaborate(parse("let a = x in let b = a + 1 in b - a"), DeferredTwice())()
+
+        def inner(a):
+            b = Add(a, Constant(1))
+            return Add(Sub(b, a), Sub(Neg(b), a))
+
+        assert forced == Add(inner(Variable("x")), inner(Neg(Variable("x"))))
+
+    def test_a_let_bound_reads_the_free_name_it_binds(self):
+        ast = parse("let x = x + 1 in x")
+        assert lower_to_tree(helpers.program_of(ast)) == Add(Variable("x"), Constant(1))
+        assert evaluate(helpers.program_of(ast), {"x": 5}) == 6
+
+    def test_a_use_walks_past_frames_of_other_names(self):
+        ast = parse("let t = 1 in let u = 2 in let t = 3 in t + u")
+        assert evaluate(helpers.program_of(ast), {}) == 5
+
+    def test_a_non_tree_node_in_a_let_body_fails_when_the_body_runs(self):
+        ast = Let("t", Constant(1), Add(Variable("t"), "oops"))
+        deferred = elaborate(ast, DeferredTwice())
+        with pytest.raises(TypeError, match="not an expression tree: 'oops'"):
+            deferred()
+        with pytest.raises(TypeError, match="not an expression tree"):
+            build_dag(helpers.program_of(ast))
+
+
+class DeferredTwice(FullBuilder):
+    """Terms are thunks of trees. A forced let_ runs its body twice, once on
+    the bound term and once on its negation, and forces the second run first."""
+
+    def constant(self, value):
+        return lambda: Constant(value)
+
+    def variable(self, name):
+        return lambda: Variable(name)
+
+    def add(self, left, right):
+        return lambda: Add(left(), right())
+
+    def neg(self, operand):
+        return lambda: Neg(operand())
+
+    def sub(self, left, right):
+        return lambda: Sub(left(), right())
+
+    def let_(self, bound, body):
+        def force():
+            second = body(lambda: Neg(bound()))()
+            return Add(body(bound)(), second)
+
+        return force
+
+
+def let_chain(k):
+    """let a0 = x in let a1 = a0 + 1 in ... in a{k-1}, built bottom-up."""
+    tree = Variable(f"a{k - 1}")
+    for i in range(k - 1, 0, -1):
+        tree = Let(f"a{i}", Add(Variable(f"a{i - 1}"), Constant(1)), tree)
+    return Let("a0", Variable("x"), tree)
+
+
+def run_deep(fn):
+    """Run fn on a worker thread with a big stack and a raised recursion
+    limit, restoring both; return its result or raise its exception."""
+    result = {}
+
+    def target():
+        try:
+            result["value"] = fn()
+        except BaseException as exc:  # re-raised below, on the calling thread
+            result["error"] = exc
+
+    old_limit, old_stack = sys.getrecursionlimit(), threading.stack_size()
+    sys.setrecursionlimit(100_000)
+    try:
+        threading.stack_size(256 * 1024 * 1024)
+        worker = threading.Thread(target=target)
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        threading.stack_size(old_stack)
+        sys.setrecursionlimit(old_limit)
+    assert not worker.is_alive(), "deep run did not finish"
+    if "error" in result:
+        raise result["error"]
+    return result["value"]
+
+
+@pytest.mark.parametrize(
+    "interpret",
+    [build_dag, lambda program: evaluate(program, {"x": 1}), size],
+    ids=["build_dag", "evaluate", "size"],
+)
+def test_elaboration_memory_is_linear_in_let_depth(interpret):
+    # Peak traced memory, not time: doubling the chain about doubles a linear
+    # run and quadruples one that copies the scope at every let.
+    def peak(k):
+        chain = let_chain(k)
+        tracemalloc.start()
+        try:
+            interpret(lambda builder: elaborate(chain, builder))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = run_deep(lambda: (peak(500), peak(1000)))
+    assert large / small < 2.6, (small, large)
 
 
 class TestRoundTrip:
