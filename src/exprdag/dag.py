@@ -2,8 +2,9 @@
 
 A compiled program is a dense array of flat nodes where structurally equal
 subexpressions occupy exactly one slot and every node's children sit at
-smaller ids. A node is a kind-tagged tuple such as ``("add", left, right)``,
-so the hash-consing table hashes and compares nodes as plain tuples. A
+smaller ids. A node is a plain kind-tagged tuple such as
+``("add", left, right)``, which ``NAdd(left, right)`` builds, so the
+hash-consing table hashes and compares nodes as tuples. A
 DagBuilder term is a plain function from the Dag under construction to the
 term's node id. Construction works bottom-up: consing a node first looks it
 up in the Dag's node-to-id table, and only inserts on a miss. The explicit
@@ -15,7 +16,6 @@ than to the expanded tree.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .builders import FullBuilder, Program, require_name
@@ -23,91 +23,42 @@ from .builders import FullBuilder, Program, require_name
 NodeId = int
 
 
-class Node(tuple):
-    """Base of the flat node variants: the tuple ``(kind, *fields)``.
-
-    Children are ids of earlier nodes. Equality and hashing are tuple's, so
-    a node equals the plain tuple with the same kind tag and fields, and the
-    tag keeps nodes of different kinds apart.
-    """
-
-    __slots__ = ()
-
-    def __getnewargs__(self):
-        """Pickle and copy rebuild a node from its fields, without the tag."""
-        return self[1:]
+def NConst(value: int) -> tuple:
+    return ("const", value)
 
 
-class NConst(Node):
-    __slots__ = ()
-    __match_args__ = ("value",)
-    value = property(itemgetter(1))
-
-    def __new__(cls, value: int):
-        return tuple.__new__(cls, ("const", value))
-
-    def __str__(self):
-        return f"NConst {self.value}"
+def NVar(name: str) -> tuple:
+    return ("var", name)
 
 
-class NVar(Node):
-    __slots__ = ()
-    __match_args__ = ("name",)
-    name = property(itemgetter(1))
-
-    def __new__(cls, name: str):
-        return tuple.__new__(cls, ("var", name))
-
-    def __str__(self):
-        return f'NVar "{self.name}"'
+def NAdd(left: NodeId, right: NodeId) -> tuple:
+    return ("add", left, right)
 
 
-class NAdd(Node):
-    __slots__ = ()
-    __match_args__ = ("left", "right")
-    left = property(itemgetter(1))
-    right = property(itemgetter(2))
-
-    def __new__(cls, left: NodeId, right: NodeId):
-        return tuple.__new__(cls, ("add", left, right))
-
-    def __str__(self):
-        return f"NAdd {self.left} {self.right}"
+def NNeg(operand: NodeId) -> tuple:
+    return ("neg", operand)
 
 
-class NNeg(Node):
-    __slots__ = ()
-    __match_args__ = ("operand",)
-    operand = property(itemgetter(1))
-
-    def __new__(cls, operand: NodeId):
-        return tuple.__new__(cls, ("neg", operand))
-
-    def __str__(self):
-        return f"NNeg {self.operand}"
+def NSub(left: NodeId, right: NodeId) -> tuple:
+    return ("sub", left, right)
 
 
-class NSub(Node):
-    __slots__ = ()
-    __match_args__ = ("left", "right")
-    left = property(itemgetter(1))
-    right = property(itemgetter(2))
-
-    def __new__(cls, left: NodeId, right: NodeId):
-        return tuple.__new__(cls, ("sub", left, right))
-
-    def __str__(self):
-        return f"NSub {self.left} {self.right}"
-
-
-_NODE_TYPES = {"const": NConst, "var": NVar, "add": NAdd, "neg": NNeg, "sub": NSub}
+#: Each node kind's tuple length and its text in format_dag. hashcons admits
+#: only these shapes, so a 5-way match on them covers every stored node.
+_KINDS = {
+    "const": (2, "NConst {}"),
+    "var": (2, 'NVar "{}"'),
+    "add": (3, "NAdd {} {}"),
+    "neg": (2, "NNeg {}"),
+    "sub": (3, "NSub {} {}"),
+}
 
 
 class Dag:
     """A sharing-maximal node store: the hash-consing table.
 
     A dict maps each node to its id and a list maps each id back to its
-    node, so both directions are O(1); both hold the typed ``N*`` node. Ids
+    node, so both directions are O(1); both hold the same tuple. Ids
     are dense from 0, children always live at smaller ids, and no two ids
     hold equal nodes. A build grows one Dag through hashcons and freezes it
     on handoff; the Dags returned by build_dag/build_forest are frozen, so
@@ -116,7 +67,7 @@ class Dag:
 
     def __init__(self) -> None:
         self._ids: dict[tuple, NodeId] = {}
-        self._nodes: list[Node] = []
+        self._nodes: list[tuple] = []
         self._lets: dict[object, NodeId] = {}
         self._frozen = False
 
@@ -126,15 +77,17 @@ class Dag:
     def hashcons(self, node: tuple) -> NodeId:
         """Return the id of an equal existing node, inserting on a miss.
 
-        The node is an ``N*`` node or the equal plain tagged tuple, such as
-        ``("add", 0, 1)``; a miss stores it as the typed node. Its children
-        must already be allocated in this Dag.
+        The node is a kind-tagged tuple such as ``("add", 0, 1)``, and a miss
+        stores that tuple. Its children must already be allocated in this
+        Dag; a tuple of an unknown kind or the wrong length is a ValueError.
         """
         if self._frozen:
             raise RuntimeError("Dag is frozen")
         node_id = self._ids.get(node)
         if node_id is None:
-            node = tuple.__new__(_NODE_TYPES[node[0]], node)
+            shape = _KINDS.get(node[0]) if node else None
+            if shape is None or shape[0] != len(node):
+                raise ValueError(f"not a DAG node: {node!r}")
             node_id = len(self._nodes)
             self._ids[node] = node_id
             self._nodes.append(node)
@@ -146,13 +99,13 @@ class Dag:
         self._lets.clear()
         return self
 
-    def node(self, node_id: NodeId) -> Node:
+    def node(self, node_id: NodeId) -> tuple:
         """The node at an id; a missing id is a hard error."""
         if not 0 <= node_id < len(self._nodes):
             raise KeyError(node_id)
         return self._nodes[node_id]
 
-    def items(self) -> list[tuple[NodeId, Node]]:
+    def items(self) -> list[tuple[NodeId, tuple]]:
         return list(enumerate(self._nodes))
 
     def __eq__(self, other):
@@ -241,10 +194,13 @@ def format_dag(roots: NodeId | Iterable[NodeId], dag: Dag) -> str:
     """Association-list display, e.g. (2,DAG BiMap[(0,NVar "i1"),...]).
 
     The ``DAG BiMap[`` prefix is the paper's display form for the node table.
+    A root that is not in the Dag is a KeyError.
     """
-    if isinstance(roots, int):
-        head = str(roots)
-    else:
-        head = "[" + ",".join(str(r) for r in roots) + "]"
-    body = ",".join(f"({i},{node})" for i, node in dag.items())
+
+    def checked(root):
+        dag.node(root)
+        return str(root)
+
+    head = checked(roots) if isinstance(roots, int) else "[" + ",".join(map(checked, roots)) + "]"
+    body = ",".join(f"({i},{_KINDS[node[0]][1].format(*node[1:])})" for i, node in dag.items())
     return f"({head},DAG BiMap[{body}])"

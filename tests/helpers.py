@@ -7,7 +7,6 @@ deliberately separate from the builder/interpreter code paths it checks.
 import random
 
 from exprdag.builders import Add, Constant, FullBuilder, Let, Neg, Sub, Variable
-from exprdag.dag import NAdd, NNeg, NSub
 from exprdag.parser import elaborate
 
 _HALF = 1 << 63
@@ -144,9 +143,9 @@ def surface_eval(ast, env, scope=None):
 
 def dag_children(node):
     match node:
-        case NAdd(left, right) | NSub(left, right):
+        case ("add" | "sub", left, right):
             return (left, right)
-        case NNeg(operand):
+        case ("neg", operand):
             return (operand,)
     return ()
 

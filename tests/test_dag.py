@@ -108,17 +108,26 @@ class TestHashcons:
         assert dag.hashcons(NConst(0)) != dag.hashcons(NNeg(0))
         assert len(dag) == 4
 
-    def test_a_plain_tagged_tuple_conses_to_the_typed_node(self):
+    def test_a_node_is_stored_as_the_plain_tagged_tuple(self):
         dag = Dag()
         dag.hashcons(NVar("i1"))
         assert dag.hashcons(("add", 0, 0)) == dag.hashcons(NAdd(0, 0)) == 1
         node = dag.node(1)
-        assert type(node) is NAdd
+        assert node == ("add", 0, 0)
+        assert type(node) is tuple
         match node:
-            case NAdd(left, right):
+            case ("add", left, right):
                 assert (left, right) == (0, 0)
             case _:
-                pytest.fail(f"NAdd pattern did not match {node!r}")
+                pytest.fail(f"add pattern did not match {node!r}")
+
+    @pytest.mark.parametrize("node", [("mul", 0, 1), ("add", 0), ("neg", 0, 1), ("const",), ()])
+    def test_a_malformed_node_is_rejected_and_not_stored(self, node):
+        dag = Dag()
+        dag.hashcons(NVar("x"))
+        with pytest.raises(ValueError, match="not a DAG node"):
+            dag.hashcons(node)
+        assert len(dag) == 1
 
     def test_nodes_survive_pickling(self):
         _, dag = build_dag(
@@ -126,7 +135,7 @@ class TestHashcons:
         )
         again = pickle.loads(pickle.dumps(dag))
         assert again == dag
-        assert [type(node) for _, node in again.items()] == [NVar, NNeg, NConst, NAdd, NSub]
+        assert [node[0] for _, node in again.items()] == ["var", "neg", "const", "add", "sub"]
 
     def test_frozen_session_rejects_further_consing(self):
         dag = Dag()
@@ -266,11 +275,19 @@ class TestDisplay:
         assert format_dag([], Dag()) == "([],DAG BiMap[])"
 
     def test_node_display_forms(self):
-        assert str(NConst(10)) == "NConst 10"
-        assert str(NVar("i1")) == 'NVar "i1"'
-        assert str(NAdd(0, 1)) == "NAdd 0 1"
-        assert str(NNeg(2)) == "NNeg 2"
-        assert str(NSub(0, 1)) == "NSub 0 1"
+        dag = Dag()
+        for node in [NConst(10), NVar("i1"), NAdd(0, 1), NNeg(2), NSub(0, 1), NConst(-3)]:
+            dag.hashcons(node)
+        assert format_dag(5, dag) == (
+            '(5,DAG BiMap[(0,NConst 10),(1,NVar "i1"),(2,NAdd 0 1),'
+            "(3,NNeg 2),(4,NSub 0 1),(5,NConst -3)])"
+        )
+
+    @pytest.mark.parametrize("roots", [9, -1, [0, 9]])
+    def test_a_root_outside_the_dag_is_a_key_error(self, roots):
+        _, dag = build_dag(exp_mul4)
+        with pytest.raises(KeyError):
+            format_dag(roots, dag)
 
 
 def test_dag_node_accessor_validates_ids():
