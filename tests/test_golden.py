@@ -1,0 +1,85 @@
+"""Byte-identity of every output kind over a fixed, seeded program set.
+
+Each output kind is folded into one md5 over a deterministic sweep:
+random surface programs (a third of them under a partial environment, and
+each also evaluated fully let-annotated), ``mul``/``mul_shared`` and
+``sklansky``/``sklansky_shared`` forests. A refactor that is meant to keep
+behaviour must keep every digest; a failure names each kind that moved.
+"""
+
+import hashlib
+import random
+
+from exprdag.dag import build_dag, build_forest, format_dag
+from exprdag.generators import mul, mul_shared, sklansky, sklansky_shared
+from exprdag.interp import evaluate, print_flat, print_let, size
+from exprdag.netlist import emit_netlist, emit_threeaddr, eval_dag
+
+import helpers
+
+GOLDEN = {
+    "format_dag": "6f56bac87d528cc8f14988d5c55ac0c1",
+    "emit_netlist": "7ff8baba02d0edadaba4bbf9245cbe2f",
+    "emit_threeaddr": "9ff38431ec1f4dd808a761a57e230a26",
+    "eval_dag": "e52dd8b8d5cbd08456e90f752e7cd84e",
+    "evaluate": "5d1f377c0d65d0a6e6e793ad6376e9e9",
+    "size": "cb68303a4303daf5a9f883ce6b470cab",
+    "print_let": "5f5622b6dbebbe89f1e49bd3d5bb15ff",
+    "print_flat": "9b4ec23b6c79fa245082ca805f83c770",
+}
+
+
+def outcome(run):
+    """A value, or an error's type and text."""
+    try:
+        return repr(run())
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def record_forest(out, forest, env):
+    """Record every output kind for the roots of ``forest``, a program that
+    returns a list of terms."""
+    roots, dag = build_forest(forest)
+    out["format_dag"].append(format_dag(roots, dag))
+    out["emit_netlist"].append(emit_netlist(dag, roots))
+    for index, root in enumerate(roots):
+        program = lambda b, index=index: forest(b)[index]
+        out["emit_threeaddr"].append(emit_threeaddr(dag, root))
+        out["eval_dag"].append(outcome(lambda: eval_dag(dag, root, env)))
+        out["evaluate"].append(outcome(lambda: evaluate(program, env)))
+        out["size"].append(str(size(program)))
+        out["print_let"].append(print_let(program))
+        out["print_flat"].append(print_flat(program))
+
+
+def digests():
+    out = {kind: [] for kind in GOLDEN}
+    rng = random.Random(20111)
+    for index in range(1200):
+        ast = helpers.random_ast(rng, index % 9)
+        env = helpers.random_env(rng)
+        if index % 3 == 0:
+            env = {name: value for name, value in env.items() if rng.random() < 0.6}
+        program = helpers.program_of(ast)
+        record_forest(out, lambda b: [program(b)], env)
+        shared = lambda b: program(helpers.ShareEveryTerm(b))
+        out["evaluate"].append(outcome(lambda: evaluate(shared, env)))
+    env = {"i": 12345}
+    for n in range(-20, 130):
+        for generator in (mul, mul_shared):
+            record_forest(out, lambda b: [generator(b, n, b.variable("i"))], env)
+    for n in range(33):
+        env = {f"x{i}": 7 * i - 50 for i in range(n)}
+        xs = lambda b: [b.variable(f"x{i}") for i in range(n)]
+        record_forest(out, lambda b: sklansky(b.add, xs(b)), env)
+        record_forest(out, lambda b: sklansky_shared(b, xs(b)), env)
+    return {
+        kind: hashlib.md5("\n".join(lines).encode()).hexdigest() for kind, lines in out.items()
+    }
+
+
+def test_every_output_kind_is_byte_identical():
+    got = digests()
+    moved = [kind for kind in GOLDEN if got[kind] != GOLDEN[kind]]
+    assert not moved, f"output moved for {', '.join(moved)}: {got}"
