@@ -21,9 +21,9 @@ class FullBuilder(ABC, Generic[T]):
     """The six constructors of the language, one interface for every
     interpreter.
 
-    Each interpreter picks its own term type T, a plain value or a function
-    of its run state; a term must only be fed back to the interpreter that
-    produced it.
+    Each interpreter picks its own term type T: a plain value computed as
+    the term is built, or a function of its run state where it must defer.
+    A term must only be fed back to the interpreter that produced it.
     """
 
     @abstractmethod

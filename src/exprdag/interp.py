@@ -35,48 +35,43 @@ def env_from_pairs(pairs: Iterable[tuple[str, int]]) -> dict[str, int]:
     return env
 
 
-class Evaluator(FullBuilder[Callable[[Env], int]]):
-    """Terms are functions from an environment to a 64-bit integer.
+class Evaluator(FullBuilder[int]):
+    """Terms are the 64-bit values themselves, computed as they are built.
 
-    let_ is call-by-value: it computes its bound term once per run and hands
-    the body that value, however often the body uses it.
+    A term is an int, so let_ is call-by-value for free: its bound term is
+    computed once, before the body gets it, however often the body uses it.
+    A term the program builds but does not return is computed all the same.
     """
 
+    def __init__(self, env: Env) -> None:
+        self.env = env
+
     def constant(self, value):
-        result = wrap64(value)
-        return lambda env: result
+        return wrap64(value)
 
     def variable(self, name):
         require_name(name)
-
-        def run(env: Env) -> int:
-            try:
-                return wrap64(env[name])
-            except KeyError:
-                raise UnboundVariableError(name) from None
-
-        return run
+        try:
+            return wrap64(self.env[name])
+        except KeyError:
+            raise UnboundVariableError(name) from None
 
     def add(self, left, right):
-        return lambda env: wrap64(left(env) + right(env))
+        return wrap64(left + right)
 
     def neg(self, operand):
-        return lambda env: wrap64(-operand(env))
+        return wrap64(-operand)
 
     def sub(self, left, right):
-        return lambda env: wrap64(left(env) - right(env))
+        return wrap64(left - right)
 
     def let_(self, bound, body):
-        def run(env: Env) -> int:
-            value = bound(env)
-            return body(lambda _env: value)(env)
-
-        return run
+        return body(bound)
 
 
 def evaluate(program: Program, env: Env) -> int:
     """Evaluate a program under an environment mapping names to values."""
-    return program(Evaluator())(env)
+    return program(Evaluator(env))
 
 
 class SizeBuilder(FullBuilder[int]):

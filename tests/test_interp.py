@@ -14,6 +14,14 @@ from exprdag.interp import (
 )
 
 
+class CountingEnv(dict):
+    lookups = 0
+
+    def __getitem__(self, name):
+        self.lookups += 1
+        return super().__getitem__(name)
+
+
 def exp_a(b):
     return b.add(b.constant(10), b.variable("i1"))
 
@@ -70,13 +78,6 @@ class TestEvaluate:
         assert evaluate(program, {"x": 1}) == 3
 
     def test_let_evaluates_its_bound_term_once(self):
-        class CountingEnv(dict):
-            lookups = 0
-
-            def __getitem__(self, name):
-                self.lookups += 1
-                return super().__getitem__(name)
-
         def doublings(b, term, depth):
             if depth == 0:
                 return term
@@ -86,6 +87,18 @@ class TestEvaluate:
         program = lambda b: b.let_(b.variable("x"), lambda t: doublings(b, t, 20))
         assert evaluate(program, env) == 3 * 2**20
         assert env.lookups == 1
+
+    def test_an_aliased_unshared_term_is_computed_once(self):
+        # A host alias shares the value: the 2**16 leaves of the expanded
+        # tree are one variable term, looked up once.
+        env = CountingEnv(x=3)
+        assert evaluate(lambda b: mul(b, 2**16, b.variable("x")), env) == 3 * 2**16
+        assert env.lookups == 1
+
+    def test_a_term_built_but_not_returned_is_still_evaluated(self):
+        with pytest.raises(UnboundVariableError) as err:
+            evaluate(lambda b: [b.variable("z"), b.constant(1)][1], {})
+        assert err.value.name == "z"
 
     def test_duplicate_env_pairs_first_binding_wins(self):
         env = env_from_pairs([("x", 1), ("x", 2), ("y", 7)])

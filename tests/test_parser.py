@@ -1,6 +1,7 @@
 """Surface syntax: scanning, parsing, and elaboration into terms."""
 
 import ast
+import gc
 import re
 import sys
 import threading
@@ -273,9 +274,11 @@ def run_deep(fn):
 )
 def test_elaboration_memory_is_linear_in_let_depth(interpret):
     # Peak traced memory, not time: doubling the chain about doubles a linear
-    # run and quadruples one that copies the scope at every let.
+    # run and quadruples one that copies the scope at every let. A pending
+    # garbage collection landing inside the traced run would skew the ratio.
     def peak(k):
         chain = let_chain(k)
+        gc.collect()
         tracemalloc.start()
         try:
             interpret(lambda builder: elaborate(chain, builder))
