@@ -130,39 +130,52 @@ def print_flat(program: Program) -> str:
     return program(FlatPrinter())
 
 
-class LetPrinter(FullBuilder[Callable[[Iterator[str], int], str]]):
+class LetPrinter(FullBuilder[tuple[int, str] | Callable[[Iterator[str], int], str]]):
     """Renders let_ as ``let vN = bound in body``.
 
-    A term is a function ``run(supply, prec)``. ``supply`` is one iterator of
-    binder names threaded through the whole rendering: a binder draws its
-    name after its bound expression has been rendered and before its body,
-    so names are distinct and increase left to right. ``prec`` is the level
-    the context asks for (let 0, operator 1, atom 2); a term of a lower level
-    brackets itself, which inserts the few parentheses that keep output
-    re-parseable. ``free`` collects every variable name the program uses, so
-    print_let can keep binders from capturing them.
+    Text carries a level (let 0, operator 1, atom 2), and a context asks for
+    one: a term of a lower level brackets itself, which inserts the few
+    parentheses that keep output re-parseable. A term with no let_ inside is
+    rendered as it is built, into the pair ``(level, text)``, so host aliases
+    of it share one string. A term with a let_ inside is a function
+    ``run(supply, prec)``, because binder names are drawn in rendering order:
+    ``supply`` is one iterator of names threaded through the whole rendering,
+    and a binder draws its name after its bound expression has been rendered
+    and before its body, so names are distinct and increase left to right.
+    A let-free term is never below operator level, so only the contexts
+    that ask for an atom (a neg operand, a sub's right side) bracket one,
+    when they are built. ``free`` collects every variable name the program
+    uses, so print_let can keep binders from capturing them.
     """
 
     def __init__(self) -> None:
         self.free: set[str] = set()
 
     def constant(self, value):
-        text = str(value)
-        return lambda supply, prec: text
+        return (2, str(value))
 
     def variable(self, name):
         require_name(name)
         self.free.add(name)
-        return lambda supply, prec: name
+        return (2, name)
 
     def add(self, left, right):
+        if type(left) is tuple and type(right) is tuple:
+            return (1, f"{left[1]} + {right[1]}")
+
         def run(supply, prec):
-            text = f"{left(supply, 0)} + {right(supply, 0)}"
+            text = (
+                f"{left[1] if type(left) is tuple else left(supply, 0)} + "
+                f"{right[1] if type(right) is tuple else right(supply, 0)}"
+            )
             return f"({text})" if prec > 1 else text
 
         return run
 
     def neg(self, operand):
+        if type(operand) is tuple:
+            return (1, f"-{operand[1]}" if operand[0] > 1 else f"-({operand[1]})")
+
         def run(supply, prec):
             text = f"-{operand(supply, 2)}"
             return f"({text})" if prec > 1 else text
@@ -170,17 +183,26 @@ class LetPrinter(FullBuilder[Callable[[Iterator[str], int], str]]):
         return run
 
     def sub(self, left, right):
+        if type(right) is tuple and right[0] < 2:
+            right = (2, f"({right[1]})")
+        if type(left) is tuple and type(right) is tuple:
+            return (1, f"{left[1]} - {right[1]}")
+
         def run(supply, prec):
-            text = f"{left(supply, 0)} - {right(supply, 2)}"
+            text = (
+                f"{left[1] if type(left) is tuple else left(supply, 0)} - "
+                f"{right[1] if type(right) is tuple else right(supply, 2)}"
+            )
             return f"({text})" if prec > 1 else text
 
         return run
 
     def let_(self, bound, body):
         def run(supply, prec):
-            bound_text = bound(supply, 1)
+            bound_text = bound[1] if type(bound) is tuple else bound(supply, 1)
             name = next(supply)
-            body_text = body(lambda _supply, _prec: name)(supply, 0)
+            result = body((2, name))
+            body_text = result[1] if type(result) is tuple else result(supply, 0)
             text = f"let {name} = {bound_text} in {body_text}"
             return f"({text})" if prec > 0 else text
 
@@ -206,6 +228,8 @@ def print_let(program: Program) -> str:
     """
     printer = LetPrinter()
     term = program(printer)
+    if type(term) is tuple:
+        return term[1]
     drawn: list[str] = []
     text = term(_binder_names(printer.free, drawn), 0)
     if printer.free.isdisjoint(drawn):

@@ -1,5 +1,7 @@
 """Evaluator, size counter, and the two renderers."""
 
+import sys
+
 import pytest
 
 from exprdag.generators import mul, mul_shared
@@ -201,3 +203,56 @@ class TestPrintLet:
     def test_rendering_twice_restarts_the_numbering(self):
         program = exp_mul4_shared
         assert print_let(program) == print_let(program)
+
+    def test_a_let_term_aliased_twice_draws_two_binder_names(self):
+        def program(b):
+            shared = b.let_(b.variable("x"), lambda v: b.add(v, v))
+            return b.add(shared, shared)
+
+        assert print_let(program) == "let v0 = x in v0 + v0 + let v1 = x in v1 + v1"
+
+    def test_a_free_name_in_a_let_free_sibling_moves_the_binder(self):
+        program = lambda b: b.sub(
+            b.let_(b.variable("z"), lambda v: b.add(v, v)),
+            b.add(b.variable("v0"), b.variable("y")),
+        )
+        assert print_let(program) == "let v1 = z in v1 + v1 - (v0 + y)"
+
+
+class TestPrintLetCost:
+    def test_an_aliased_let_free_term_is_rendered_once(self):
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        n = 2**16 - 1
+        sys.setprofile(count)
+        try:
+            text = print_let(lambda b: mul(b, n, b.variable("x")))
+        finally:
+            sys.setprofile(None)
+        # Rendering each node of the expanded tree would be ~2n calls.
+        assert calls < 1_000
+        assert text == " + ".join(["x"] * n)
+
+    def test_a_long_let_chain_prints_at_the_default_recursion_limit(self):
+        def program(b):
+            body = lambda v: v
+            for _ in range(800):
+                body = (lambda inner: lambda v: b.let_(b.add(v, b.constant(1)), inner))(body)
+            return body(b.variable("x"))
+
+        text = print_let(program)
+        assert text.startswith("let v0 = x + 1 in let v1 = v0 + 1 in ")
+        assert text.endswith("let v799 = v798 + 1 in v799")
+
+    def test_a_long_let_free_sum_prints_at_any_length(self):
+        def program(b):
+            total = b.variable("x")
+            for index in range(1, 5_000):
+                total = b.add(total, b.variable(f"x{index}"))
+            return total
+
+        assert print_let(program) == " + ".join(["x"] + [f"x{i}" for i in range(1, 5_000)])
