@@ -13,8 +13,15 @@ Program = Callable[["FullBuilder"], Any]
 
 
 def require_name(name: str) -> None:
+    if type(name) is not str:
+        raise TypeError(f"variable name must be a str, not {type(name).__name__}")
     if not name:
         raise ValueError("variable name must be non-empty")
+
+
+def require_int(value: int) -> None:
+    if type(value) is not int:
+        raise TypeError(f"constant must be an int, not {type(value).__name__}")
 
 
 class FullBuilder(ABC, Generic[T]):
@@ -97,6 +104,7 @@ class TreeBuilder(FullBuilder[ExprTree]):
     """
 
     def constant(self, value: int) -> ExprTree:
+        require_int(value)
         return Constant(value)
 
     def variable(self, name: str) -> ExprTree:

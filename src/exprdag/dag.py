@@ -4,21 +4,21 @@ A compiled program is a dense array of flat nodes where structurally equal
 subexpressions occupy exactly one slot and every node's children sit at
 smaller ids. A node is a plain kind-tagged tuple such as
 ``("add", left, right)``, which ``NAdd(left, right)`` builds, so the
-hash-consing table hashes and compares nodes as tuples. A
-DagBuilder term is a plain function from the Dag under construction to the
-term's node id. Construction works bottom-up: consing a node first looks it
-up in the Dag's node-to-id table, and only inserts on a miss. The explicit
-sharing form runs its bound expression once and replicates the resulting id,
-and a let term is built once per Dag however many roots reach it; that is
-what makes compact programs build in time proportional to the DAG rather
-than to the expanded tree.
+hash-consing table hashes and compares nodes as tuples. A DagBuilder term is
+a plain function from the Dag under construction to the term's node id.
+Construction works bottom-up: consing a node is one lookup in the Dag's
+node-to-id table, which stores the node itself on a miss. The explicit
+sharing form runs its bound expression once and replicates its id, and a
+let term is built once per Dag however many roots reach it; that is what
+makes compact programs build in time proportional to the DAG rather than to
+the expanded tree.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .builders import FullBuilder, Program, require_name
+from .builders import FullBuilder, Program, require_int, require_name
 
 NodeId = int
 
@@ -54,22 +54,37 @@ _KINDS = {
 }
 
 
+class _NodeTable(dict):
+    """A Dag's node-to-id dict: a miss appends the node to ``nodes``."""
+
+    __slots__ = ("nodes",)
+
+    def __missing__(self, node: tuple) -> NodeId:
+        node_id = self[node] = len(self.nodes)
+        self.nodes.append(node)
+        return node_id
+
+
+class _FrozenTable(dict):
+    """The empty table of a frozen Dag: every lookup is refused."""
+
+    def __missing__(self, node: tuple) -> NodeId:
+        raise RuntimeError("Dag is frozen")
+
+
 class Dag:
     """A sharing-maximal node store: the hash-consing table.
 
-    A dict maps each node to its id and a list maps each id back to its
-    node, so both directions are O(1); both hold the same tuple. Ids
-    are dense from 0, children always live at smaller ids, and no two ids
-    hold equal nodes. A build grows one Dag through hashcons and freezes it
-    on handoff; the Dags returned by build_dag/build_forest are frozen, so
-    nothing mutates them afterwards.
+    A dict maps each node to its id and a list maps each id back to it. Ids
+    are dense from 0, children live at smaller ids, and no two ids hold equal
+    nodes. A build grows one Dag by table lookups and freezes it on handoff,
+    dropping the dict: a frozen Dag, as build_dag returns, refuses lookups.
     """
 
     def __init__(self) -> None:
-        self._ids: dict[tuple, NodeId] = {}
-        self._nodes: list[tuple] = []
+        self._ids: dict[tuple, NodeId] = _NodeTable()
+        self._ids.nodes = self._nodes = []
         self._lets: dict[object, NodeId] = {}
-        self._frozen = False
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -77,25 +92,22 @@ class Dag:
     def hashcons(self, node: tuple) -> NodeId:
         """Return the id of an equal existing node, inserting on a miss.
 
-        The node is a kind-tagged tuple such as ``("add", 0, 1)``, and a miss
-        stores that tuple. Its children must already be allocated in this
-        Dag; a tuple of an unknown kind or the wrong length is a ValueError.
+        The node is a kind-tagged tuple such as ``("add", 0, 1)``. A ValueError,
+        storing nothing, rejects an unknown kind or length, a const that is not
+        an int, a var not a non-empty str, or a child not already in this Dag.
         """
-        if self._frozen:
-            raise RuntimeError("Dag is frozen")
-        node_id = self._ids.get(node)
-        if node_id is None:
-            shape = _KINDS.get(node[0]) if node else None
-            if shape is None or shape[0] != len(node):
-                raise ValueError(f"not a DAG node: {node!r}")
-            node_id = len(self._nodes)
-            self._ids[node] = node_id
-            self._nodes.append(node)
-        return node_id
+        kind = node[0] if node else None
+        if kind not in _KINDS or _KINDS[kind][0] != len(node) or not (
+            type(node[1]) is int if kind == "const"
+            else type(node[1]) is str and node[1] != "" if kind == "var"
+            else all(type(child) is int and 0 <= child < len(self) for child in node[1:])
+        ):
+            raise ValueError(f"not a DAG node: {node!r}")
+        return self._ids[node]
 
     def freeze(self) -> Dag:
-        """Reject any further hashcons, let terms included, and return this Dag."""
-        self._frozen = True
+        """Refuse every further lookup, let terms included, and return this Dag."""
+        self._ids = _FrozenTable()
         self._lets.clear()
         return self
 
@@ -122,12 +134,12 @@ class Dag:
 BuildSession = Dag
 
 
-#: A DagBuilder term: running it conses the term's nodes into a Dag and
-#: yields the term's node id. Terms stay deferred rather than already-built
-#: ids, so a term that appears twice is built twice unless the program
-#: shares it with let_; hash-consing still collapses the duplicates. A let_
-#: term is built once per Dag: later runs against the same Dag return the
-#: id the first run built.
+#: A DagBuilder term: running it conses the term's nodes into a Dag by
+#: indexing its table, and yields the term's node id. Terms stay deferred
+#: rather than already-built ids, so a term that appears twice is built twice
+#: unless the program shares it with let_; hash-consing still collapses the
+#: duplicates. A let_ term is built once per Dag: later runs against the same
+#: Dag return the id the first run built.
 DagTerm = Callable[[Dag], NodeId]
 
 
@@ -141,22 +153,23 @@ class DagBuilder(FullBuilder[DagTerm]):
     """
 
     def constant(self, value):
+        require_int(value)
         key = ("const", value)
-        return lambda dag: dag.hashcons(key)
+        return lambda dag: dag._ids[key]
 
     def variable(self, name):
         require_name(name)
         key = ("var", name)
-        return lambda dag: dag.hashcons(key)
+        return lambda dag: dag._ids[key]
 
     def add(self, left, right):
-        return lambda dag: dag.hashcons(("add", left(dag), right(dag)))
+        return lambda dag: dag._ids["add", left(dag), right(dag)]
 
     def neg(self, operand):
-        return lambda dag: dag.hashcons(("neg", operand(dag)))
+        return lambda dag: dag._ids["neg", operand(dag)]
 
     def sub(self, left, right):
-        return lambda dag: dag.hashcons(("sub", left(dag), right(dag)))
+        return lambda dag: dag._ids["sub", left(dag), right(dag)]
 
     def let_(self, bound, body):
         key = object()

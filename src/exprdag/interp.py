@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .builders import FullBuilder, Program, require_name
+from .builders import FullBuilder, Program, require_int, require_name
 
 Env = Mapping[str, int]
 
@@ -47,6 +47,7 @@ class Evaluator(FullBuilder[int]):
         self.env = env
 
     def constant(self, value):
+        require_int(value)
         return wrap64(value)
 
     def variable(self, name):
@@ -79,6 +80,7 @@ class SizeBuilder(FullBuilder[int]):
     the bound variable inside the body cost nothing."""
 
     def constant(self, value):
+        require_int(value)
         return 1
 
     def variable(self, name):
@@ -107,6 +109,7 @@ class FlatPrinter(FullBuilder[str]):
     again at every use, so output length follows the expanded tree."""
 
     def constant(self, value):
+        require_int(value)
         return str(value)
 
     def variable(self, name):
@@ -152,6 +155,7 @@ class LetPrinter(FullBuilder[tuple[int, str] | Callable[[Iterator[str], int], st
         self.free: set[str] = set()
 
     def constant(self, value):
+        require_int(value)
         return (2, str(value))
 
     def variable(self, name):

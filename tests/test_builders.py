@@ -12,6 +12,8 @@ from exprdag.builders import (
     Variable,
     lower_to_tree,
 )
+from exprdag.dag import DagBuilder
+from exprdag.interp import Evaluator, FlatPrinter, LetPrinter, SizeBuilder
 
 import helpers
 
@@ -24,9 +26,27 @@ def test_variable_builds_leaf():
     assert TreeBuilder().variable("i1") == Variable("i1")
 
 
-def test_empty_variable_name_rejected():
-    with pytest.raises(ValueError):
-        TreeBuilder().variable("")
+@pytest.mark.parametrize(
+    "make",
+    [TreeBuilder, DagBuilder, lambda: Evaluator({}), SizeBuilder, FlatPrinter, LetPrinter],
+    ids=["TreeBuilder", "DagBuilder", "Evaluator", "SizeBuilder", "FlatPrinter", "LetPrinter"],
+)
+@pytest.mark.parametrize(
+    "leaf, payload, error",
+    [
+        ("variable", "", ValueError),
+        ("variable", 3, TypeError),
+        ("variable", None, TypeError),
+        ("constant", 1.5, TypeError),
+        ("constant", True, TypeError),
+        ("constant", "x", TypeError),
+    ],
+    ids=["empty-name", "int-name", "no-name", "float", "bool", "str"],
+)
+def test_empty_variable_name_rejected(make, leaf, payload, error):
+    """Every builder rejects a bad leaf payload as the leaf is built."""
+    with pytest.raises(error):
+        getattr(make(), leaf)(payload)
 
 
 def test_add_builds_pair():

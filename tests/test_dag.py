@@ -1,6 +1,7 @@
 """The node store, hash-consing, and DAG construction."""
 
 import pickle
+import sys
 
 import pytest
 
@@ -12,6 +13,7 @@ from exprdag.dag import (
     NNeg,
     NSub,
     NVar,
+    _NodeTable,
     build_dag,
     build_forest,
     format_dag,
@@ -27,16 +29,27 @@ def inputs(b, count):
     return [b.variable(f"i{k}") for k in range(count)]
 
 
+class CountingTable(_NodeTable):
+    """A node table that counts lookups, hits and misses alike."""
+
+    calls = 0
+
+    def __getitem__(self, node):
+        self.calls += 1
+        return super().__getitem__(node)
+
+
 class CountingDag(Dag):
-    """A Dag that counts hashcons calls, hits and misses alike."""
+    """A Dag whose table counts the lookups its terms make."""
 
     def __init__(self):
         super().__init__()
-        self.calls = 0
+        self._ids = CountingTable()
+        self._ids.nodes = self._nodes
 
-    def hashcons(self, node):
-        self.calls += 1
-        return super().hashcons(node)
+    @property
+    def calls(self):
+        return self._ids.calls
 
 
 def counted_forest(program):
@@ -104,9 +117,11 @@ class TestHashcons:
 
     def test_the_kind_tag_separates_node_kinds(self):
         dag = Dag()
+        dag.hashcons(NVar("x"))
+        dag.hashcons(NVar("y"))
         assert dag.hashcons(NAdd(0, 1)) != dag.hashcons(NSub(0, 1))
         assert dag.hashcons(NConst(0)) != dag.hashcons(NNeg(0))
-        assert len(dag) == 4
+        assert len(dag) == 6
 
     def test_a_node_is_stored_as_the_plain_tagged_tuple(self):
         dag = Dag()
@@ -121,7 +136,25 @@ class TestHashcons:
             case _:
                 pytest.fail(f"add pattern did not match {node!r}")
 
-    @pytest.mark.parametrize("node", [("mul", 0, 1), ("add", 0), ("neg", 0, 1), ("const",), ()])
+    @pytest.mark.parametrize(
+        "node",
+        [
+            ("mul", 0, 1),
+            ("add", 0),
+            ("neg", 0, 1),
+            ("const",),
+            (),
+            ("add", -1, 0),
+            ("add", 0, 1),
+            ("add", 5, 9),
+            ("neg", True),
+            ("const", 1.5),
+            ("const", True),
+            ("const", "x"),
+            ("var", ""),
+            ("var", 3),
+        ],
+    )
     def test_a_malformed_node_is_rejected_and_not_stored(self, node):
         dag = Dag()
         dag.hashcons(NVar("x"))
@@ -137,12 +170,28 @@ class TestHashcons:
         assert again == dag
         assert [node[0] for _, node in again.items()] == ["var", "neg", "const", "add", "sub"]
 
+    def test_an_unfrozen_dag_keeps_consing_after_pickling(self):
+        b = DagBuilder()
+        dag = Dag()
+        assert b.add(b.variable("x"), b.constant(1))(dag) == 2
+        again = pickle.loads(pickle.dumps(dag))
+        assert b.neg(b.add(b.variable("x"), b.constant(1)))(again) == 3
+        assert again.hashcons(NSub(3, 0)) == 4
+        assert again.hashcons(NAdd(0, 1)) == 2
+        assert again.items()[3:] == [(3, NNeg(2)), (4, NSub(3, 0))]
+        assert len(again) == 5 and len(dag) == 3
+
     def test_frozen_session_rejects_further_consing(self):
         dag = Dag()
         dag.hashcons(NVar("i1"))
         assert dag.freeze() is dag
         with pytest.raises(RuntimeError):
             dag.hashcons(NConst(1))
+        with pytest.raises(RuntimeError):
+            dag.hashcons(NVar("i1"))
+        with pytest.raises(RuntimeError):
+            DagBuilder().variable("i1")(dag)
+        assert dag.items() == [(0, NVar("i1"))]
 
     def test_frozen_dag_rejects_a_let_term_it_already_built(self):
         b = DagBuilder()
@@ -229,7 +278,7 @@ class TestBuildForest:
 
 
 class TestForestCost:
-    """The cost shape of forest builds, counted in hashcons calls."""
+    """The cost shape of forest builds, counted in node-table lookups."""
 
     @pytest.mark.parametrize("count", [256, 1024])
     def test_shared_forest_builds_each_let_once(self, count):
@@ -243,7 +292,7 @@ class TestForestCost:
 
 
 class TestMulCost:
-    """Criterion 6's cost shape, counted in hashcons calls instead of timed."""
+    """Criterion 6's cost shape, counted in node-table lookups instead of timed."""
 
     @pytest.mark.parametrize("n, calls", [(2**12, 8191), (2**13, 16383)])
     def test_unshared_mul_walks_the_whole_tree(self, n, calls):
@@ -254,6 +303,23 @@ class TestMulCost:
     def test_shared_mul_makes_one_call_per_bit(self, n, calls):
         dag = counted_forest(lambda b: [mul_shared(b, n, b.variable("i"))])
         assert dag.calls == calls == n.bit_length()
+
+    def test_a_hash_cons_hit_runs_no_python_frame(self):
+        """One frame per term visit (8,191 here) and a few for the misses and
+        the program; a frame per lookup as well would make about 16,400."""
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            build_dag(lambda b: mul(b, 2**12, b.variable("x")))
+        finally:
+            sys.setprofile(previous)
+        assert calls < 9000
 
 
 class TestDisplay:
