@@ -2,7 +2,8 @@
 
 Each output kind is folded into one md5 over a deterministic sweep:
 random surface programs (a third of them under a partial environment, and
-each also evaluated fully let-annotated), ``mul``/``mul_shared`` and
+each also evaluated and printed fully let-annotated, and printed inside a
+let term that aliases it), ``mul``/``mul_shared`` and
 ``sklansky``/``sklansky_shared`` forests. A refactor that is meant to keep
 behaviour must keep every digest; a failure names each kind that moved.
 """
@@ -26,6 +27,8 @@ GOLDEN = {
     "size": "cb68303a4303daf5a9f883ce6b470cab",
     "print_let": "5f5622b6dbebbe89f1e49bd3d5bb15ff",
     "print_flat": "9b4ec23b6c79fa245082ca805f83c770",
+    "print_let_shared": "da92e550a8e75e32ab8eb166fe75280e",
+    "print_let_aliased": "4924b548570b45438e9d2cfd7356ce3c",
 }
 
 
@@ -53,6 +56,12 @@ def record_forest(out, forest, env):
         out["print_flat"].append(print_flat(program))
 
 
+def aliased(b, t):
+    """``t`` used four times, twice through a let bound to it; the free ``v0``
+    in the let body makes print_let render again with that name skipped."""
+    return b.sub(b.add(t, b.let_(t, lambda u: b.add(u, b.variable("v0")))), b.neg(t))
+
+
 def digests():
     out = {kind: [] for kind in GOLDEN}
     rng = random.Random(20111)
@@ -65,6 +74,8 @@ def digests():
         record_forest(out, lambda b: [program(b)], env)
         shared = lambda b: program(helpers.ShareEveryTerm(b))
         out["evaluate"].append(outcome(lambda: evaluate(shared, env)))
+        out["print_let_shared"].append(print_let(shared))
+        out["print_let_aliased"].append(print_let(lambda b: aliased(b, program(b))))
     env = {"i": 12345}
     for n in range(-20, 130):
         for generator in (mul, mul_shared):
