@@ -15,7 +15,7 @@ from statistics import median
 
 from .dag import build_dag, build_forest, format_dag
 from .generators import mul, mul_shared, sklansky, sklansky_shared
-from .interp import UnboundVariableError, env_from_pairs, evaluate, print_let, size
+from .interp import UnboundVariableError, evaluate, print_let, size
 from .netlist import emit_netlist, emit_threeaddr
 from .parser import ParseError, elaborate, parse
 
@@ -49,7 +49,8 @@ def _var_binding(text: str) -> tuple[str, int]:
 
 def _cmd_eval(args) -> int:
     program = _program_from(args)
-    print(evaluate(program, env_from_pairs(args.var)))
+    # Reversed, so that the first binding of a name is the one dict keeps.
+    print(evaluate(program, dict(reversed(args.var))))
     return 0
 
 

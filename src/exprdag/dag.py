@@ -112,8 +112,8 @@ class Dag:
         return self
 
     def node(self, node_id: NodeId) -> tuple:
-        """The node at an id; a missing id is a hard error."""
-        if not 0 <= node_id < len(self._nodes):
+        """The node at an id; an id that is not an int in range is a KeyError."""
+        if type(node_id) is not int or not 0 <= node_id < len(self._nodes):
             raise KeyError(node_id)
         return self._nodes[node_id]
 

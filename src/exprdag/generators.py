@@ -56,19 +56,10 @@ def sklansky(combine: Callable, xs: Sequence) -> list:
 
 
 def sklansky_shared(builder: FullBuilder, xs: Sequence) -> list:
-    """Prefix sums with the left-half pivot bound via let_ in each combine.
+    """sklansky with add, except that each combine binds its pivot with let_.
 
     Builds the same values, and the same DAG forest, as sklansky with add.
     """
-    xs = list(xs)
-    if len(xs) <= 1:
-        return xs
-    mid = len(xs) // 2
-    left = sklansky_shared(builder, xs[:mid])
-    right = sklansky_shared(builder, xs[mid:])
-    pivot = left[-1]
-
-    def combine(r):
-        return builder.let_(pivot, lambda shared: builder.add(shared, r))
-
-    return left + [combine(r) for r in right]
+    return sklansky(
+        lambda pivot, r: builder.let_(pivot, lambda shared: builder.add(shared, r)), xs
+    )

@@ -4,7 +4,7 @@ counter, and string renderers (flat and let-aware)."""
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .builders import FullBuilder, Program, require_int, require_name
 
@@ -25,14 +25,6 @@ class UnboundVariableError(LookupError):
     def __init__(self, name: str):
         super().__init__(f"unbound variable: {name}")
         self.name = name
-
-
-def env_from_pairs(pairs: Iterable[tuple[str, int]]) -> dict[str, int]:
-    """Build an environment from (name, value) pairs; first binding wins."""
-    env: dict[str, int] = {}
-    for name, value in pairs:
-        env.setdefault(name, value)
-    return env
 
 
 class Evaluator(FullBuilder[int]):

@@ -5,6 +5,7 @@ deliberately separate from the builder/interpreter code paths it checks.
 """
 
 import random
+import sys
 
 from exprdag.builders import Add, Constant, FullBuilder, Let, Neg, Sub, Variable
 from exprdag.parser import elaborate
@@ -164,6 +165,24 @@ def netlist_refs_are_backward(text):
                 assert operand in defined, line
         defined.add(target)
     return True
+
+
+def python_calls(run):
+    """``run()``'s result and the number of Python frames it entered, counted
+    with sys.setprofile; a profiler that was already set is put back."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return result, calls
 
 
 # Free names stay clear of the v<digits> pattern the let renderer generates.

@@ -45,11 +45,10 @@ class TestEval:
         assert err
 
     def test_first_binding_of_a_name_wins(self, capsys, monkeypatch):
-        code, out, _ = run_cli(
-            capsys, monkeypatch, ["eval", "--var", "x=1", "--var", "x=2"], stdin="x"
-        )
+        argv = ["eval", "--var", "x=1", "--var", "y=7", "--var", "x=2"]
+        code, out, _ = run_cli(capsys, monkeypatch, argv, stdin="x - y")
         assert code == 0
-        assert out == "1\n"
+        assert out == "-6\n"
 
     def test_program_from_file(self, capsys, monkeypatch, tmp_path):
         source = tmp_path / "prog.expr"

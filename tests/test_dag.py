@@ -1,7 +1,6 @@
 """The node store, hash-consing, and DAG construction."""
 
 import pickle
-import sys
 
 import pytest
 
@@ -19,6 +18,8 @@ from exprdag.dag import (
     format_dag,
 )
 from exprdag.generators import mul, mul_shared, sklansky, sklansky_shared
+
+import helpers
 
 
 def exp_mul4(b):
@@ -280,10 +281,10 @@ class TestBuildForest:
 class TestForestCost:
     """The cost shape of forest builds, counted in node-table lookups."""
 
-    @pytest.mark.parametrize("count", [256, 1024])
-    def test_shared_forest_builds_each_let_once(self, count):
+    @pytest.mark.parametrize("count, calls", [(256, 1408), (1024, 6656)], ids=["256", "1024"])
+    def test_shared_forest_builds_each_let_once(self, count, calls):
         dag = counted_forest(lambda b: sklansky_shared(b, inputs(b, count)))
-        assert dag.calls <= 2 * len(dag)
+        assert dag.calls == calls
 
     def test_unshared_forest_rebuilds_every_prefix(self):
         dag = counted_forest(lambda b: sklansky(b.add, inputs(b, 256)))
@@ -307,18 +308,8 @@ class TestMulCost:
     def test_a_hash_cons_hit_runs_no_python_frame(self):
         """One frame per term visit (8,191 here) and a few for the misses and
         the program; a frame per lookup as well would make about 16,400."""
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            calls += event == "call"
-
-        previous = sys.getprofile()
-        sys.setprofile(count)
-        try:
-            build_dag(lambda b: mul(b, 2**12, b.variable("x")))
-        finally:
-            sys.setprofile(previous)
+        program = lambda b: mul(b, 2**12, b.variable("x"))
+        _, calls = helpers.python_calls(lambda: build_dag(program))
         assert calls < 9000
 
 
@@ -349,7 +340,7 @@ class TestDisplay:
             "(3,NNeg 2),(4,NSub 0 1),(5,NConst -3)])"
         )
 
-    @pytest.mark.parametrize("roots", [9, -1, [0, 9]])
+    @pytest.mark.parametrize("roots", [9, -1, [0, 9], True, [0, True]])
     def test_a_root_outside_the_dag_is_a_key_error(self, roots):
         _, dag = build_dag(exp_mul4)
         with pytest.raises(KeyError):
@@ -359,8 +350,9 @@ class TestDisplay:
 def test_dag_node_accessor_validates_ids():
     _, dag = build_dag(exp_mul4)
     assert dag.node(0) == NVar("i1")
-    with pytest.raises(KeyError):
-        dag.node(3)
+    for node_id in (3, True, 1.0):
+        with pytest.raises(KeyError):
+            dag.node(node_id)
 
 
 def test_terms_can_be_rerun_in_fresh_sessions():

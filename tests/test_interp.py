@@ -1,19 +1,18 @@
 """Evaluator, size counter, and the two renderers."""
 
-import sys
-
 import pytest
 
 from exprdag.generators import mul, mul_shared
 from exprdag.interp import (
     UnboundVariableError,
-    env_from_pairs,
     evaluate,
     print_flat,
     print_let,
     size,
     wrap64,
 )
+
+import helpers
 
 
 class CountingEnv(dict):
@@ -101,10 +100,6 @@ class TestEvaluate:
         with pytest.raises(UnboundVariableError) as err:
             evaluate(lambda b: [b.variable("z"), b.constant(1)][1], {})
         assert err.value.name == "z"
-
-    def test_duplicate_env_pairs_first_binding_wins(self):
-        env = env_from_pairs([("x", 1), ("x", 2), ("y", 7)])
-        assert env == {"x": 1, "y": 7}
 
     def test_values_wrap_at_64_bits(self):
         top = (1 << 63) - 1
@@ -221,18 +216,9 @@ class TestPrintLet:
 
 class TestPrintLetCost:
     def test_an_aliased_let_free_term_is_rendered_once(self):
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            calls += event == "call"
-
         n = 2**16 - 1
-        sys.setprofile(count)
-        try:
-            text = print_let(lambda b: mul(b, n, b.variable("x")))
-        finally:
-            sys.setprofile(None)
+        program = lambda b: mul(b, n, b.variable("x"))
+        text, calls = helpers.python_calls(lambda: print_let(program))
         # Rendering each node of the expanded tree would be ~2n calls.
         assert calls < 1_000
         assert text == " + ".join(["x"] * n)
