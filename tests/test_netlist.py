@@ -87,17 +87,6 @@ class TestEmitNetlist:
             emit_netlist(dag, [root + 1])
 
 
-def test_a_bool_root_is_a_key_error():
-    """True equals the id 1 but is not an id."""
-    _, dag = build_dag(lambda b: b.add(b.variable("x"), b.constant(1)))
-    with pytest.raises(KeyError):
-        eval_dag(dag, True, {"x": 1})
-    with pytest.raises(KeyError):
-        emit_netlist(dag, [True])
-    with pytest.raises(KeyError):
-        emit_threeaddr(dag, True)
-
-
 class TestEmitThreeAddr:
     def test_single_constant(self):
         root, dag = const_dag(5)
@@ -125,3 +114,14 @@ class TestEmitThreeAddr:
             root, dag = build_dag(helpers.program_of(ast))
             text = emit_threeaddr(dag, root)
             assert len(text.splitlines()) == len(dag) + 1
+
+
+def test_a_bool_root_is_a_key_error():
+    """True equals the id 1 but is not an id."""
+    _, dag = build_dag(lambda b: b.add(b.variable("x"), b.constant(1)))
+    with pytest.raises(KeyError):
+        eval_dag(dag, True, {"x": 1})
+    with pytest.raises(KeyError):
+        emit_netlist(dag, [True])
+    with pytest.raises(KeyError):
+        emit_threeaddr(dag, True)
