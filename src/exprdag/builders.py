@@ -1,9 +1,13 @@
-"""The builder interface and the plain-tree form of the expression language."""
+"""The builder interface and the tree form of the expression language.
+
+A tree node is a DAG node with subtrees where the DAG has ids, such as
+``("add", ("var", "x"), ("const", 1))``; parse also builds
+``("let", name, bound, body)``, which lower_to_tree substitutes away.
+"""
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Any, Callable, Generic, TypeVar
 
 T = TypeVar("T")
@@ -54,76 +58,34 @@ class FullBuilder(ABC, Generic[T]):
         refers to that single shared expression."""
 
 
-class ExprTree:
-    """Base of the plain expression tree, the initial representation.
-
-    parse returns these trees; Let appears only there, since lower_to_tree
-    substitutes every let_ away.
-    """
-
-
-@dataclass(frozen=True)
-class Constant(ExprTree):
-    value: int
-
-
-@dataclass(frozen=True)
-class Variable(ExprTree):
-    name: str
-
-
-@dataclass(frozen=True)
-class Add(ExprTree):
-    left: ExprTree
-    right: ExprTree
-
-
-@dataclass(frozen=True)
-class Neg(ExprTree):
-    operand: ExprTree
-
-
-@dataclass(frozen=True)
-class Sub(ExprTree):
-    left: ExprTree
-    right: ExprTree
-
-
-@dataclass(frozen=True)
-class Let(ExprTree):
-    name: str
-    bound: ExprTree
-    body: ExprTree
-
-
-class TreeBuilder(FullBuilder[ExprTree]):
+class TreeBuilder(FullBuilder[tuple]):
     """Interprets a program as its expression tree.
 
     let_ substitutes the bound tree into the body, so the result contains
     every subterm spelled out and no sharing information.
     """
 
-    def constant(self, value: int) -> ExprTree:
+    def constant(self, value: int) -> tuple:
         require_int(value)
-        return Constant(value)
+        return ("const", value)
 
-    def variable(self, name: str) -> ExprTree:
+    def variable(self, name: str) -> tuple:
         require_name(name)
-        return Variable(name)
+        return ("var", name)
 
-    def add(self, left: ExprTree, right: ExprTree) -> ExprTree:
-        return Add(left, right)
+    def add(self, left: tuple, right: tuple) -> tuple:
+        return ("add", left, right)
 
-    def neg(self, operand: ExprTree) -> ExprTree:
-        return Neg(operand)
+    def neg(self, operand: tuple) -> tuple:
+        return ("neg", operand)
 
-    def sub(self, left: ExprTree, right: ExprTree) -> ExprTree:
-        return Sub(left, right)
+    def sub(self, left: tuple, right: tuple) -> tuple:
+        return ("sub", left, right)
 
     def let_(self, bound, body):
         return body(bound)
 
 
-def lower_to_tree(program: Program) -> ExprTree:
+def lower_to_tree(program: Program) -> tuple:
     """Expand a program to its tree, eliminating let_ by substitution."""
     return program(TreeBuilder())

@@ -21,9 +21,9 @@ from .parser import ParseError, elaborate, parse
 
 
 def _read_program(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    # Bytes decoded here, so stdin is UTF-8 whatever the locale says, as a file is.
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    return data.decode("utf-8")
 
 
 def _program_from(args) -> object:

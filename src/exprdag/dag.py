@@ -4,8 +4,9 @@ A compiled program is a dense array of flat nodes where structurally equal
 subexpressions occupy exactly one slot and every node's children sit at
 smaller ids. A node is a plain kind-tagged tuple such as
 ``("add", left, right)``, which ``NAdd(left, right)`` builds, so the
-hash-consing table hashes and compares nodes as tuples. A DagBuilder term is
-a plain function from the Dag under construction to the term's node id.
+hash-consing table hashes and compares nodes as tuples; given subtrees for
+ids, the same functions build a tree. A DagBuilder term is a plain function
+from the Dag under construction to the term's node id.
 Construction works bottom-up: consing a node is one lookup in the Dag's
 node-to-id table, which stores the node itself on a miss. The explicit
 sharing form runs its bound expression once and replicates its id, and a

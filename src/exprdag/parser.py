@@ -15,15 +15,16 @@ walks that list by index and compares strings; no token carries a position.
 A ``ParseError``'s line and column are computed only when it is raised, by
 scanning again to the failing token's offset.
 
-``elaborate`` links a (name, term, parent) scope frame per let, not a copy,
-so it is linear in let depth; a name no let has bound skips the chain walk.
+``elaborate`` dispatches on a tree node's tag and links a (name, term,
+parent) scope frame per let, not a copy, so it is linear in let depth; a
+name no let has bound skips the chain walk.
 """
 
 from __future__ import annotations
 
 import re
 
-from .builders import Add, Constant, ExprTree, FullBuilder, Let, Neg, Sub, Variable
+from .builders import FullBuilder
 
 # ASCII only: \d, \w and \s would also admit other Unicode digits, letters
 # and spaces.
@@ -50,9 +51,8 @@ def _describe(token: str) -> str:
     return repr(token) if token else "end of input"
 
 
-def parse(text: str) -> ExprTree:
-    """Parse program text into an ExprTree, or raise ParseError with position
-    information."""
+def parse(text: str) -> tuple:
+    """Parse program text into a tuple tree, or raise a positioned ParseError."""
     bad = _BAD_CHAR.search(text)
     if bad:
         raise _error_at(text, bad.start(), f"unexpected character {bad.group()!r}")
@@ -70,17 +70,16 @@ def parse(text: str) -> ExprTree:
             raise fail(pos, f"expected {what}, found {_describe(tokens[pos])}")
         pos += 1
 
-    def expr() -> ExprTree:
+    def expr() -> tuple:
         nonlocal pos
         node = term()
         while tokens[pos] in ("+", "-"):
-            op = tokens[pos]
+            kind = "add" if tokens[pos] == "+" else "sub"
             pos += 1
-            rhs = term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            node = (kind, node, term())
         return node
 
-    def term() -> ExprTree:
+    def term() -> tuple:
         nonlocal pos
         token = tokens[pos]
         pos += 1
@@ -93,7 +92,7 @@ def parse(text: str) -> ExprTree:
                 raise fail(
                     pos - 1, f"integer literal of {len(token)} digits is too long"
                 ) from None
-            return Constant(value)
+            return ("const", value)
         if token == "let":
             name = tokens[pos]
             if name in _RESERVED:
@@ -104,11 +103,11 @@ def parse(text: str) -> ExprTree:
             expect("=", "'='")
             bound = expr()
             expect("in", "'in'")
-            return Let(name, bound, expr())
+            return ("let", name, bound, expr())
         if token.isidentifier() and token != "in":
-            return Variable(token)
+            return ("var", token)
         if token == "-":
-            return Neg(term())
+            return ("neg", term())
         if token == "(":
             node = expr()
             expect(")", "')'")
@@ -120,40 +119,45 @@ def parse(text: str) -> ExprTree:
     return node
 
 
-def elaborate(ast: ExprTree, builder: FullBuilder):
+def elaborate(ast: tuple, builder: FullBuilder):
     """Turn an expression tree into a term of the given interpreter.
 
     Let-bound names are translated through let_, inner bindings shadow outer
     ones, and names not bound by any let become free DSL variables. A negated
     literal folds into a negative constant. The scope chain is persistent,
     not a stack, since let_ may run a body late, twice or out of order.
+
+    A non-tuple or an unknown tag is a TypeError. Arity is not checked: a
+    tuple too short for its tag is an IndexError, and extra items are ignored.
     """
     bound_names = set()  # a binder's name enters before its body can run
 
     def elab(ast, scope):
-        kind = type(ast)
-        if kind is Add:
-            return builder.add(elab(ast.left, scope), elab(ast.right, scope))
-        if kind is Variable:
-            name = ast.name
+        kind = ast[0] if type(ast) is tuple else None
+        if kind == "add":
+            return builder.add(elab(ast[1], scope), elab(ast[2], scope))
+        if kind == "var":
+            name = ast[1]
             if name in bound_names:
                 while scope is not None:
                     if scope[0] == name:
                         return scope[1]
                     scope = scope[2]
             return builder.variable(name)
-        if kind is Sub:
-            return builder.sub(elab(ast.left, scope), elab(ast.right, scope))
-        if kind is Constant:
-            return builder.constant(ast.value)
-        if kind is Let:
-            bound = elab(ast.bound, scope)
-            bound_names.add(ast.name)
-            return builder.let_(bound, lambda term: elab(ast.body, (ast.name, term, scope)))
-        if kind is Neg:
-            if type(ast.operand) is Constant:
-                return builder.constant(-ast.operand.value)
-            return builder.neg(elab(ast.operand, scope))
+        if kind == "sub":
+            return builder.sub(elab(ast[1], scope), elab(ast[2], scope))
+        if kind == "const":
+            return builder.constant(ast[1])
+        if kind == "let":
+            bound = elab(ast[2], scope)
+            bound_names.add(ast[1])
+            # closing over ast and scope only keeps elab's other locals out of cells
+            return builder.let_(bound, lambda term: elab(ast[3], (ast[1], term, scope)))
+        if kind == "neg":
+            operand = ast[1]
+            if type(operand) is tuple and operand[0] == "const":
+                return builder.constant(-operand[1])
+            return builder.neg(elab(operand, scope))
         raise TypeError(f"not an expression tree: {ast!r}")
 
     return elab(ast, None)

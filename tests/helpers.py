@@ -7,7 +7,8 @@ deliberately separate from the builder/interpreter code paths it checks.
 import random
 import sys
 
-from exprdag.builders import Add, Constant, FullBuilder, Let, Neg, Sub, Variable
+from exprdag.builders import FullBuilder
+from exprdag.dag import NAdd, NConst, NNeg, NSub, NVar
 from exprdag.parser import elaborate
 
 _HALF = 1 << 63
@@ -18,35 +19,19 @@ def wrap(value):
     return (value + _HALF) % _WORD - _HALF
 
 
-def eval_tree(tree, env):
-    """Direct recursive evaluator over ExprTree.
-
-    Recurses structurally, so only use it where the spelled-out tree is
-    small (let-free programs).
-    """
-    if isinstance(tree, Constant):
-        return wrap(tree.value)
-    if isinstance(tree, Variable):
-        return wrap(env[tree.name])
-    if isinstance(tree, Add):
-        return wrap(eval_tree(tree.left, env) + eval_tree(tree.right, env))
-    if isinstance(tree, Neg):
-        return wrap(-eval_tree(tree.operand, env))
-    if isinstance(tree, Sub):
-        return wrap(eval_tree(tree.left, env) - eval_tree(tree.right, env))
+def tree_node_count(tree):
+    match tree:
+        case ("neg", operand):
+            return 1 + tree_node_count(operand)
+        case ("add" | "sub", left, right):
+            return 1 + tree_node_count(left) + tree_node_count(right)
+        case ("const" | "var", _):
+            return 1
     raise TypeError(tree)
 
 
-def tree_node_count(tree):
-    if isinstance(tree, (Constant, Variable)):
-        return 1
-    if isinstance(tree, Neg):
-        return 1 + tree_node_count(tree.operand)
-    return 1 + tree_node_count(tree.left) + tree_node_count(tree.right)
-
-
 def distinct_subtree_count(tree):
-    """Number of structurally distinct subtrees of an ExprTree.
+    """Number of structurally distinct subtrees of a let-free tree.
 
     Visits each in-memory object once and interns flat signatures, so the
     count stays linear in the object graph even when the spelled-out tree
@@ -59,16 +44,15 @@ def distinct_subtree_count(tree):
         got = memo.get(id(t))
         if got is not None:
             return got
-        if isinstance(t, Constant):
-            sig = ("const", t.value)
-        elif isinstance(t, Variable):
-            sig = ("var", t.name)
-        elif isinstance(t, Add):
-            sig = ("add", walk(t.left), walk(t.right))
-        elif isinstance(t, Neg):
-            sig = ("neg", walk(t.operand))
-        else:
-            sig = ("sub", walk(t.left), walk(t.right))
+        match t:
+            case ("add" | "sub" as kind, left, right):
+                sig = (kind, walk(left), walk(right))
+            case ("neg", operand):
+                sig = ("neg", walk(operand))
+            case ("const" | "var", _):
+                sig = t
+            case _:
+                raise TypeError(t)
         idx = index.get(sig)
         if idx is None:
             idx = len(index)
@@ -91,21 +75,21 @@ def expected_dag_node_count(ast):
 
     def walk(node, scope):
         match node:
-            case Constant(value):
+            case ("const", value):
                 sig = ("const", value)
-            case Variable(name):
+            case ("var", name):
                 if name in scope:
                     return scope[name]
                 sig = ("var", name)
-            case Neg(Constant(value)):
+            case ("neg", ("const", value)):
                 sig = ("const", -value)
-            case Add(left, right):
+            case ("add", left, right):
                 sig = ("add", walk(left, scope), walk(right, scope))
-            case Sub(left, right):
+            case ("sub", left, right):
                 sig = ("sub", walk(left, scope), walk(right, scope))
-            case Neg(operand):
+            case ("neg", operand):
                 sig = ("neg", walk(operand, scope))
-            case Let(name, bound, body):
+            case ("let", name, bound, body):
                 bound_idx = walk(bound, scope)
                 return walk(body, {**scope, name: bound_idx})
         idx = index.get(sig)
@@ -126,17 +110,17 @@ def surface_eval(ast, env, scope=None):
     """
     scope = {} if scope is None else scope
     match ast:
-        case Constant(value):
+        case ("const", value):
             return wrap(value)
-        case Variable(name):
+        case ("var", name):
             return wrap(scope[name]) if name in scope else wrap(env[name])
-        case Add(left, right):
+        case ("add", left, right):
             return wrap(surface_eval(left, env, scope) + surface_eval(right, env, scope))
-        case Sub(left, right):
+        case ("sub", left, right):
             return wrap(surface_eval(left, env, scope) - surface_eval(right, env, scope))
-        case Neg(operand):
+        case ("neg", operand):
             return wrap(-surface_eval(operand, env, scope))
-        case Let(name, bound, body):
+        case ("let", name, bound, body):
             value = surface_eval(bound, env, scope)
             return surface_eval(body, env, {**scope, name: value})
     raise TypeError(ast)
@@ -194,21 +178,21 @@ def random_ast(rng: random.Random, max_depth: int, scope=()):
     if max_depth <= 0 or rng.random() < 0.3:
         roll = rng.random()
         if roll < 0.35:
-            return Constant(rng.randint(-999, 999))
+            return NConst(rng.randint(-999, 999))
         if scope and roll < 0.7:
-            return Variable(rng.choice(scope))
-        return Variable(rng.choice(FREE_NAMES))
+            return NVar(rng.choice(scope))
+        return NVar(rng.choice(FREE_NAMES))
     pick = rng.random()
     if pick < 0.35:
-        return Add(random_ast(rng, max_depth - 1, scope), random_ast(rng, max_depth - 1, scope))
+        return NAdd(random_ast(rng, max_depth - 1, scope), random_ast(rng, max_depth - 1, scope))
     if pick < 0.55:
-        return Sub(random_ast(rng, max_depth - 1, scope), random_ast(rng, max_depth - 1, scope))
+        return NSub(random_ast(rng, max_depth - 1, scope), random_ast(rng, max_depth - 1, scope))
     if pick < 0.7:
-        return Neg(random_ast(rng, max_depth - 1, scope))
+        return NNeg(random_ast(rng, max_depth - 1, scope))
     name = rng.choice(LET_NAMES)
     bound = random_ast(rng, max_depth - 1, scope)
     body = random_ast(rng, max_depth - 1, scope + (name,))
-    return Let(name, bound, body)
+    return ("let", name, bound, body)
 
 
 def random_env(rng: random.Random):

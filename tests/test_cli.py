@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import os
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,9 @@ from exprdag.cli import main
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    # A byte buffer underneath, as on a real stdin, since main reads .buffer
+    stdin = io.TextIOWrapper(io.BytesIO(stdin.encode()), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -69,6 +72,26 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_utf8_stdin_is_decoded_like_a_file_whatever_the_locale(self, tmp_path):
+        # The same bytes through stdin and a file, with stdin's text encoding
+        # set to one that accepts every byte.
+        source = tmp_path / "prog.expr"
+        source.write_bytes(b"x + \xff")
+        env = {**os.environ, "PYTHONIOENCODING": "latin-1"}
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "exprdag", "compile", path],
+                input=b"x + \xff",
+                capture_output=True,
+                env=env,
+            )
+            for path in ("-", str(source))
+        ]
+        message = b"error: 'utf-8' codec can't decode byte 0xff in position 4: "
+        message += b"invalid start byte\n"
+        outcomes = [(run.returncode, run.stdout, run.stderr) for run in runs]
+        assert outcomes == [(2, b"", message)] * 2
 
     def test_overlong_integer_literal_exits_2_with_one_error_line(
         self, capsys, monkeypatch, tmp_path

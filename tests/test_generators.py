@@ -1,7 +1,7 @@
 """The multiplication and running-sum workload generators."""
 
-from exprdag.builders import Add, Constant, Neg, TreeBuilder, Variable, lower_to_tree
-from exprdag.dag import NAdd, NVar, build_dag, build_forest
+from exprdag.builders import TreeBuilder, lower_to_tree
+from exprdag.dag import NAdd, NConst, NVar, build_dag, build_forest
 from exprdag.generators import mul, mul_shared, sklansky, sklansky_shared
 from exprdag.interp import evaluate, print_let, size
 
@@ -11,18 +11,18 @@ import helpers
 class TestMul:
     def test_mul4_duplicates_the_doubled_operand(self):
         tree = lower_to_tree(lambda b: mul(b, 4, b.variable("i1")))
-        doubled = Add(Variable("i1"), Variable("i1"))
-        assert tree == Add(doubled, doubled)
+        doubled = NAdd(NVar("i1"), NVar("i1"))
+        assert tree == NAdd(doubled, doubled)
 
     def test_zero_is_the_zero_constant(self):
-        assert lower_to_tree(lambda b: mul(b, 0, b.variable("x"))) == Constant(0)
+        assert lower_to_tree(lambda b: mul(b, 0, b.variable("x"))) == NConst(0)
 
     def test_one_is_the_operand_itself(self):
-        assert lower_to_tree(lambda b: mul(b, 1, b.variable("x"))) == Variable("x")
+        assert lower_to_tree(lambda b: mul(b, 1, b.variable("x"))) == NVar("x")
 
     def test_negative_multiplier_negates(self):
         tree = lower_to_tree(lambda b: mul(b, -3, b.variable("x")))
-        assert isinstance(tree, Neg)
+        assert tree[0] == "neg"
         assert evaluate(lambda b: mul(b, -3, b.variable("x")), {"x": 4}) == -12
 
     def test_values_match_plain_multiplication(self):
@@ -68,9 +68,10 @@ class TestMulShared:
 
 class TestSklansky:
     def test_bracketed_rendering_of_four_inputs(self):
-        v1, v2, v3, v4 = (Variable(f"v{i}") for i in range(1, 5))
+        v1, v2, v3, v4 = (NVar(f"v{i}") for i in range(1, 5))
         rendered = sklansky(TreeBuilder().add, [v1, v2, v3, v4])
-        assert rendered == [v1, Add(v1, v2), Add(Add(v1, v2), v3), Add(Add(v1, v2), Add(v3, v4))]
+        expected = [v1, NAdd(v1, v2), NAdd(NAdd(v1, v2), v3), NAdd(NAdd(v1, v2), NAdd(v3, v4))]
+        assert rendered == expected
 
     def test_empty_input(self):
         assert sklansky(lambda a, b: a + b, []) == []

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exprdag.builders import Add, Constant, FullBuilder, Let, Neg, Sub, Variable, lower_to_tree
-from exprdag.dag import NAdd, NVar, build_dag
+from exprdag.builders import FullBuilder, lower_to_tree
+from exprdag.dag import DagBuilder, NAdd, NConst, NNeg, NSub, NVar, build_dag
 from exprdag.interp import evaluate, print_let, size
 from exprdag.parser import ParseError, elaborate, parse
 
@@ -22,29 +22,29 @@ import helpers
 class TestParse:
     def test_let_form(self):
         got = parse("let y = i1 + i1 in y + y")
-        bound = Add(Variable("i1"), Variable("i1"))
-        assert got == Let("y", bound, Add(Variable("y"), Variable("y")))
+        bound = NAdd(NVar("i1"), NVar("i1"))
+        assert got == ("let", "y", bound, NAdd(NVar("y"), NVar("y")))
 
     def test_two_leaf_add(self):
-        assert parse("10 + i1") == Add(Constant(10), Variable("i1"))
+        assert parse("10 + i1") == NAdd(NConst(10), NVar("i1"))
 
     def test_plus_minus_are_left_associative(self):
-        assert parse("a - b + c") == Add(Sub(Variable("a"), Variable("b")), Variable("c"))
-        # the parser and TreeBuilder share one tree type
+        assert parse("a - b + c") == NAdd(NSub(NVar("a"), NVar("b")), NVar("c"))
+        # the parser and TreeBuilder build one tree shape
         built = lambda b: b.add(b.sub(b.variable("a"), b.variable("b")), b.variable("c"))
         assert parse("a - b + c") == lower_to_tree(built)
 
     def test_parens_override_grouping(self):
-        assert parse("a - (b + c)") == Sub(Variable("a"), Add(Variable("b"), Variable("c")))
+        assert parse("a - (b + c)") == NSub(NVar("a"), NAdd(NVar("b"), NVar("c")))
 
     def test_unary_minus_binds_to_the_next_term(self):
-        assert parse("-x + y") == Add(Neg(Variable("x")), Variable("y"))
-        assert parse("x - -y") == Sub(Variable("x"), Neg(Variable("y")))
+        assert parse("-x + y") == NAdd(NNeg(NVar("x")), NVar("y"))
+        assert parse("x - -y") == NSub(NVar("x"), NNeg(NVar("y")))
 
     def test_let_body_extends_as_far_right_as_possible(self):
         got = parse("let t = 1 in t + t + 2")
-        body = Add(Add(Variable("t"), Variable("t")), Constant(2))
-        assert got == Let("t", Constant(1), body)
+        body = NAdd(NAdd(NVar("t"), NVar("t")), NConst(2))
+        assert got == ("let", "t", NConst(1), body)
 
     def test_let_missing_name_is_a_syntax_error(self):
         with pytest.raises(ParseError):
@@ -165,7 +165,7 @@ class TestElaborate:
 
     def test_negated_literal_folds_to_a_negative_constant(self):
         ast = parse("-5")
-        assert lower_to_tree(helpers.program_of(ast)) == Constant(-5)
+        assert lower_to_tree(helpers.program_of(ast)) == NConst(-5)
 
     def test_double_negation_still_negates(self):
         ast = parse("--5")
@@ -182,22 +182,31 @@ class TestElaborate:
         forced = elaborate(parse("let a = x in let b = a + 1 in b - a"), DeferredTwice())()
 
         def inner(a):
-            b = Add(a, Constant(1))
-            return Add(Sub(b, a), Sub(Neg(b), a))
+            b = NAdd(a, NConst(1))
+            return NAdd(NSub(b, a), NSub(NNeg(b), a))
 
-        assert forced == Add(inner(Variable("x")), inner(Neg(Variable("x"))))
+        assert forced == NAdd(inner(NVar("x")), inner(NNeg(NVar("x"))))
 
     def test_a_let_bound_reads_the_free_name_it_binds(self):
         ast = parse("let x = x + 1 in x")
-        assert lower_to_tree(helpers.program_of(ast)) == Add(Variable("x"), Constant(1))
+        assert lower_to_tree(helpers.program_of(ast)) == NAdd(NVar("x"), NConst(1))
         assert evaluate(helpers.program_of(ast), {"x": 5}) == 6
 
     def test_a_use_walks_past_frames_of_other_names(self):
         ast = parse("let t = 1 in let u = 2 in let t = 3 in t + u")
         assert evaluate(helpers.program_of(ast), {}) == 5
 
+    @pytest.mark.parametrize(
+        "ast",
+        ["oops", 5, None, object(), ("mul", NConst(1), NConst(2))],
+        ids=["str", "int", "None", "object", "unknown-tag"],
+    )
+    def test_a_non_tree_is_a_type_error(self, ast):
+        with pytest.raises(TypeError, match="not an expression tree"):
+            elaborate(ast, DagBuilder())
+
     def test_a_non_tree_node_in_a_let_body_fails_when_the_body_runs(self):
-        ast = Let("t", Constant(1), Add(Variable("t"), "oops"))
+        ast = ("let", "t", NConst(1), NAdd(NVar("t"), "oops"))
         deferred = elaborate(ast, DeferredTwice())
         with pytest.raises(TypeError, match="not an expression tree: 'oops'"):
             deferred()
@@ -210,34 +219,34 @@ class DeferredTwice(FullBuilder):
     the bound term and once on its negation, and forces the second run first."""
 
     def constant(self, value):
-        return lambda: Constant(value)
+        return lambda: NConst(value)
 
     def variable(self, name):
-        return lambda: Variable(name)
+        return lambda: NVar(name)
 
     def add(self, left, right):
-        return lambda: Add(left(), right())
+        return lambda: NAdd(left(), right())
 
     def neg(self, operand):
-        return lambda: Neg(operand())
+        return lambda: NNeg(operand())
 
     def sub(self, left, right):
-        return lambda: Sub(left(), right())
+        return lambda: NSub(left(), right())
 
     def let_(self, bound, body):
         def force():
-            second = body(lambda: Neg(bound()))()
-            return Add(body(bound)(), second)
+            second = body(lambda: NNeg(bound()))()
+            return NAdd(body(bound)(), second)
 
         return force
 
 
 def let_chain(k):
     """let a0 = x in let a1 = a0 + 1 in ... in a{k-1}, built bottom-up."""
-    tree = Variable(f"a{k - 1}")
+    tree = NVar(f"a{k - 1}")
     for i in range(k - 1, 0, -1):
-        tree = Let(f"a{i}", Add(Variable(f"a{i - 1}"), Constant(1)), tree)
-    return Let("a0", Variable("x"), tree)
+        tree = ("let", f"a{i}", NAdd(NVar(f"a{i - 1}"), NConst(1)), tree)
+    return ("let", "a0", NVar("x"), tree)
 
 
 def run_deep(fn):

@@ -4,8 +4,8 @@ parser round trip."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exprdag.builders import Add, Constant, Let, Neg, Sub, Variable, lower_to_tree
-from exprdag.dag import Dag, build_dag, build_forest
+from exprdag.builders import lower_to_tree
+from exprdag.dag import Dag, NAdd, NConst, NNeg, NSub, NVar, build_dag, build_forest
 from exprdag.generators import mul, mul_shared, sklansky, sklansky_shared
 from exprdag.interp import evaluate, print_flat, print_let, size
 from exprdag.netlist import emit_netlist, emit_threeaddr, eval_dag
@@ -20,19 +20,20 @@ NAMES = helpers.FREE_NAMES + helpers.LET_NAMES + ("v0", "v1")
 
 def leaves():
     return st.one_of(
-        st.integers(-50, 50).map(Constant),
-        st.sampled_from(NAMES).map(Variable),
+        st.integers(-50, 50).map(NConst),
+        st.sampled_from(NAMES).map(NVar),
     )
 
 
 def asts(with_neg_sub=True, with_let=True):
     def extend(inner):
-        options = [st.builds(Add, inner, inner)]
+        options = [st.builds(NAdd, inner, inner)]
         if with_neg_sub:
-            options.append(st.builds(Sub, inner, inner))
-            options.append(st.builds(Neg, inner))
+            options.append(st.builds(NSub, inner, inner))
+            options.append(st.builds(NNeg, inner))
         if with_let:
-            options.append(st.builds(Let, st.sampled_from(helpers.LET_NAMES), inner, inner))
+            let = st.tuples(st.just("let"), st.sampled_from(helpers.LET_NAMES), inner, inner)
+            options.append(let)
         return st.one_of(options)
 
     return st.recursive(leaves(), extend, max_leaves=30)
@@ -56,7 +57,7 @@ def test_dag_evaluation_agrees_with_direct_evaluation(ast, env):
 @given(asts(with_let=False), envs)
 def test_let_free_programs_match_the_tree_evaluator(ast, env):
     program = helpers.program_of(ast)
-    assert evaluate(program, env) == helpers.eval_tree(lower_to_tree(program), env)
+    assert evaluate(program, env) == helpers.surface_eval(lower_to_tree(program), env)
 
 
 @given(asts(with_let=False))
@@ -76,11 +77,11 @@ def test_flat_and_let_printers_agree_when_no_lets_occur(ast):
 
 def _has_let(ast):
     match ast:
-        case Let(_, _, _):
+        case ("let", _, _, _):
             return True
-        case Add(left, right) | Sub(left, right):
+        case ("add" | "sub", left, right):
             return _has_let(left) or _has_let(right)
-        case Neg(operand):
+        case ("neg", operand):
             return _has_let(operand)
     return False
 
