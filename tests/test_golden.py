@@ -4,7 +4,9 @@ Each output kind is folded into one md5 over a deterministic sweep:
 random surface programs (a third of them under a partial environment, and
 each also evaluated and printed fully let-annotated, and printed inside a
 let term that aliases it), ``mul``/``mul_shared`` and
-``sklansky``/``sklansky_shared`` forests. A refactor that is meant to keep
+``sklansky``/``sklansky_shared`` forests. ``eval_dag_wide`` evaluates every
+root again under ``WIDE``, whose values sit near -2**63 and 2**63 and past
+2**64, so that sums and negations wrap. A refactor that is meant to keep
 behaviour must keep every digest; a failure names each kind that moved.
 """
 
@@ -23,12 +25,20 @@ GOLDEN = {
     "emit_netlist": "7ff8baba02d0edadaba4bbf9245cbe2f",
     "emit_threeaddr": "9ff38431ec1f4dd808a761a57e230a26",
     "eval_dag": "e52dd8b8d5cbd08456e90f752e7cd84e",
+    "eval_dag_wide": "6c0638b1a47609dc9b8ccb9a89fb9381",
     "evaluate": "5d1f377c0d65d0a6e6e793ad6376e9e9",
     "size": "cb68303a4303daf5a9f883ce6b470cab",
     "print_let": "5f5622b6dbebbe89f1e49bd3d5bb15ff",
     "print_flat": "9b4ec23b6c79fa245082ca805f83c770",
     "print_let_shared": "da92e550a8e75e32ab8eb166fe75280e",
     "print_let_aliased": "4924b548570b45438e9d2cfd7356ce3c",
+}
+
+#: A binding for every variable of the sweep, drawn from no rng so that the
+#: other digests keep their programs and environments.
+WIDE = {
+    name: (2**63 - 1 - k, -(2**63) + k, 2**64 + 3 * k, -(2**70) - k)[k % 4]
+    for k, name in enumerate(helpers.FREE_NAMES + ("i",) + tuple(f"x{i}" for i in range(32)))
 }
 
 
@@ -50,6 +60,7 @@ def record_forest(out, forest, env):
         program = lambda b, index=index: forest(b)[index]
         out["emit_threeaddr"].append(emit_threeaddr(dag, root))
         out["eval_dag"].append(outcome(lambda: eval_dag(dag, root, env)))
+        out["eval_dag_wide"].append(outcome(lambda: eval_dag(dag, root, WIDE)))
         out["evaluate"].append(outcome(lambda: evaluate(program, env)))
         out["size"].append(str(size(program)))
         out["print_let"].append(print_let(program))
