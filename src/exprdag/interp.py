@@ -45,9 +45,12 @@ class Evaluator(FullBuilder[int]):
     def variable(self, name):
         require_name(name)
         try:
-            return wrap64(self.env[name])
+            value = self.env[name]
         except KeyError:
             raise UnboundVariableError(name) from None
+        if type(value) is not int:
+            raise TypeError(f"value of {name} must be an int, not {type(value).__name__}")
+        return wrap64(value)
 
     def add(self, left, right):
         return wrap64(left + right)

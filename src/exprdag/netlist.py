@@ -9,53 +9,59 @@ from __future__ import annotations
 from typing import Iterable
 
 from .dag import Dag, NodeId
-from .interp import Env, UnboundVariableError, wrap64
+from .interp import Env, UnboundVariableError
+
+_MASK = (1 << 64) - 1
+_HALF = 1 << 63
 
 
 def eval_dag(dag: Dag, root: NodeId, env: Env) -> int:
-    """Evaluate bottom-up in id order; every node is computed exactly once."""
+    """Evaluate bottom-up in id order, each node once, keeping values mod
+    2**64 (add, neg and sub respect it) and signing only the root's value:
+    the result equals wrapping to signed 64 bits at every step."""
     dag.node(root)
     values: list[int] = []
-    for node_id, node in dag.items():
-        if node_id > root:
-            break
+    for node in dag._nodes[: root + 1]:
         match node:
+            case ("add", left, right):
+                values.append((values[left] + values[right]) & _MASK)
             case ("const", value):
-                values.append(wrap64(value))
+                values.append(value & _MASK)
             case ("var", name):
                 try:
-                    values.append(wrap64(env[name]))
+                    value = env[name]
                 except KeyError:
                     raise UnboundVariableError(name) from None
-            case ("add", left, right):
-                values.append(wrap64(values[left] + values[right]))
+                if type(value) is not int:
+                    raise TypeError(f"value of {name} must be an int, not {type(value).__name__}")
+                values.append(value & _MASK)
             case ("neg", operand):
-                values.append(wrap64(-values[operand]))
+                values.append(-values[operand] & _MASK)
             case ("sub", left, right):
-                values.append(wrap64(values[left] - values[right]))
-    return values[root]
+                values.append((values[left] - values[right]) & _MASK)
+    value = values[root]
+    return value - (1 << 64) if value & _HALF else value
 
 
 def emit_netlist(dag: Dag, roots: Iterable[NodeId]) -> str:
     """One line per node in id order, then one "out" line per root."""
     lines = []
-    for node_id, node in dag.items():
+    for node_id, node in enumerate(dag._nodes):
         match node:
-            case ("const", value):
-                rhs = f"const {value}"
-            case ("var", name):
-                rhs = f"input {name}"
             case ("add", left, right):
-                rhs = f"add n{left} n{right}"
+                lines.append(f"n{node_id} = add n{left} n{right}\n")
+            case ("const", value):
+                lines.append(f"n{node_id} = const {value}\n")
+            case ("var", name):
+                lines.append(f"n{node_id} = input {name}\n")
             case ("neg", operand):
-                rhs = f"neg n{operand}"
+                lines.append(f"n{node_id} = neg n{operand}\n")
             case ("sub", left, right):
-                rhs = f"sub n{left} n{right}"
-        lines.append(f"n{node_id} = {rhs}")
+                lines.append(f"n{node_id} = sub n{left} n{right}\n")
     for root in roots:
         dag.node(root)
-        lines.append(f"out n{root}")
-    return "".join(line + "\n" for line in lines)
+        lines.append(f"out n{root}\n")
+    return "".join(lines)
 
 
 def emit_threeaddr(dag: Dag, root: NodeId) -> str:
@@ -63,17 +69,17 @@ def emit_threeaddr(dag: Dag, root: NodeId) -> str:
     allocation, finished by a RET of the root's register."""
     dag.node(root)
     lines = []
-    for node_id, node in dag.items():
+    for node_id, node in enumerate(dag._nodes):
         match node:
-            case ("const", value):
-                lines.append(f"LOADI r{node_id}, {value}")
-            case ("var", name):
-                lines.append(f"LOADV r{node_id}, {name}")
             case ("add", left, right):
-                lines.append(f"ADD r{node_id}, r{left}, r{right}")
+                lines.append(f"ADD r{node_id}, r{left}, r{right}\n")
+            case ("const", value):
+                lines.append(f"LOADI r{node_id}, {value}\n")
+            case ("var", name):
+                lines.append(f"LOADV r{node_id}, {name}\n")
             case ("neg", operand):
-                lines.append(f"NEG r{node_id}, r{operand}")
+                lines.append(f"NEG r{node_id}, r{operand}\n")
             case ("sub", left, right):
-                lines.append(f"SUB r{node_id}, r{left}, r{right}")
-    lines.append(f"RET r{root}")
-    return "".join(line + "\n" for line in lines)
+                lines.append(f"SUB r{node_id}, r{left}, r{right}\n")
+    lines.append(f"RET r{root}\n")
+    return "".join(lines)

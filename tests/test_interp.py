@@ -48,6 +48,12 @@ class TestEvaluate:
         assert err.value.name == "x"
         assert "x" in str(err.value)
 
+    @pytest.mark.parametrize("value", [1.5, "1", True, None])
+    def test_a_non_int_value_is_a_type_error_naming_the_variable(self, value):
+        program = lambda b: b.add(b.variable("x"), b.constant(1))
+        with pytest.raises(TypeError, match=f"value of x must be an int, not {type(value).__name__}"):
+            evaluate(program, {"x": value})
+
     def test_mul4(self):
         assert evaluate(exp_mul4, {"i1": 5}) == 20
 

@@ -3,8 +3,8 @@
 import pytest
 
 from exprdag.dag import Dag, NConst, build_dag, build_forest
-from exprdag.generators import mul, sklansky
-from exprdag.interp import UnboundVariableError
+from exprdag.generators import mul, sklansky, sklansky_shared
+from exprdag.interp import UnboundVariableError, evaluate
 from exprdag.netlist import emit_netlist, emit_threeaddr, eval_dag
 
 import helpers
@@ -47,6 +47,27 @@ class TestEvalDag:
         with pytest.raises(UnboundVariableError) as err:
             eval_dag(dag, root, {})
         assert err.value.name == "i1"
+
+    @pytest.mark.parametrize("value", [1.5, "1", True, None])
+    def test_a_non_int_value_is_a_type_error_naming_the_variable(self, value):
+        root, dag = build_dag(lambda b: b.add(b.variable("x"), b.constant(1)))
+        with pytest.raises(TypeError, match=f"value of x must be an int, not {type(value).__name__}"):
+            eval_dag(dag, root, {"x": value})
+
+    @pytest.mark.parametrize(
+        "program, env, expected",
+        [
+            (lambda b: b.neg(b.variable("x")), {"x": -(2**63)}, -(2**63)),
+            (lambda b: b.add(b.variable("x"), b.constant(1)), {"x": 2**63 - 1}, -(2**63)),
+            (lambda b: b.sub(b.variable("x"), b.constant(1)), {"x": -(2**63)}, 2**63 - 1),
+            (lambda b: b.constant(2**64 + 5), {}, 5),
+            (lambda b: b.add(b.constant(-(2**200)), b.constant(-1)), {}, -1),
+            (lambda b: b.neg(b.variable("x")), {"x": 2**70 + 3}, -3),
+        ],
+    )
+    def test_values_wrap_at_64_bits_like_evaluate(self, program, env, expected):
+        root, dag = build_dag(program)
+        assert eval_dag(dag, root, env) == evaluate(program, env) == expected
 
     def test_out_of_range_root(self):
         root, dag = build_dag(exp_mul4)
@@ -114,6 +135,33 @@ class TestEmitThreeAddr:
             root, dag = build_dag(helpers.program_of(ast))
             text = emit_threeaddr(dag, root)
             assert len(text.splitlines()) == len(dag) + 1
+
+
+class TestBackendCost:
+    """Each node costs a tuple dispatch and an append, not a Python call."""
+
+    @pytest.fixture(scope="class")
+    def forest(self):
+        return build_forest(lambda b: sklansky_shared(b, [b.variable(f"x{i}") for i in range(256)]))
+
+    def test_eval_dag_calls_nothing_per_node(self, forest):
+        roots, dag = forest
+        env = {f"x{i}": i for i in range(256)}
+        value, calls = helpers.python_calls(lambda: eval_dag(dag, roots[-1], env))
+        assert value == sum(range(256))
+        assert calls <= 3
+
+    def test_emit_threeaddr_calls_nothing_per_node(self, forest):
+        roots, dag = forest
+        text, calls = helpers.python_calls(lambda: emit_threeaddr(dag, roots[-1]))
+        assert len(text.splitlines()) == len(dag) + 1
+        assert calls <= 3
+
+    def test_emit_netlist_calls_only_one_root_check_per_root(self, forest):
+        roots, dag = forest
+        text, calls = helpers.python_calls(lambda: emit_netlist(dag, roots))
+        assert len(text.splitlines()) == len(dag) + len(roots)
+        assert calls <= len(roots) + 3
 
 
 def test_a_bool_root_is_a_key_error():

@@ -17,10 +17,19 @@ import helpers
 # trip also checks that no binder captures a free variable.
 NAMES = helpers.FREE_NAMES + helpers.LET_NAMES + ("v0", "v1")
 
+# Values reach past the signed 64-bit range and crowd its ends, so sums and
+# negations wrap.
+WIDE = 2**70
+wide_ints = st.one_of(
+    st.integers(-WIDE, WIDE),
+    st.integers(2**63 - 4, 2**63 + 4),
+    st.integers(-(2**63) - 4, -(2**63) + 4),
+)
+
 
 def leaves():
     return st.one_of(
-        st.integers(-50, 50).map(NConst),
+        st.one_of(st.integers(-50, 50), wide_ints).map(NConst),
         st.sampled_from(NAMES).map(NVar),
     )
 
@@ -39,7 +48,7 @@ def asts(with_neg_sub=True, with_let=True):
     return st.recursive(leaves(), extend, max_leaves=30)
 
 
-envs = st.fixed_dictionaries({name: st.integers(-(10**12), 10**12) for name in NAMES})
+envs = st.fixed_dictionaries({name: wide_ints for name in NAMES})
 
 
 @given(asts(), envs)
