@@ -19,9 +19,8 @@ NAMES = helpers.FREE_NAMES + helpers.LET_NAMES + ("v0", "v1")
 
 # Values reach past the signed 64-bit range and crowd its ends, so sums and
 # negations wrap.
-WIDE = 2**70
 wide_ints = st.one_of(
-    st.integers(-WIDE, WIDE),
+    st.integers(-(2**70), 2**70),
     st.integers(2**63 - 4, 2**63 + 4),
     st.integers(-(2**63) - 4, -(2**63) + 4),
 )
