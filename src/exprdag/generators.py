@@ -42,17 +42,23 @@ def mul_shared(builder: FullBuilder, n: int, x):
     return builder.add(x, mul_shared(builder, n - 1, x))
 
 
+def _prefix(combine: Callable, xs: list, lo: int, hi: int) -> None:
+    if hi - lo > 1:
+        mid = (lo + hi) // 2
+        _prefix(combine, xs, lo, mid)
+        _prefix(combine, xs, mid, hi)
+        pivot = xs[mid - 1]
+        for i in range(mid, hi):
+            xs[i] = combine(pivot, xs[i])
+
+
 def sklansky(combine: Callable, xs: Sequence) -> list:
-    """All prefix combines of xs by recursive subdivision: element i is the
-    left fold of xs[0..i]."""
+    """Prefix combines of xs: element i is the left fold of xs[0..i]. One copy
+    of xs is filled in place. A span of n splits floor(n/2) left; combine runs
+    on the left half, the right half, then (last of left, r) for each right r."""
     xs = list(xs)
-    if len(xs) <= 1:
-        return xs
-    mid = len(xs) // 2
-    left = sklansky(combine, xs[:mid])
-    right = sklansky(combine, xs[mid:])
-    pivot = left[-1]
-    return left + [combine(pivot, r) for r in right]
+    _prefix(combine, xs, 0, len(xs))
+    return xs
 
 
 def sklansky_shared(builder: FullBuilder, xs: Sequence) -> list:

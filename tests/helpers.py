@@ -126,6 +126,19 @@ def surface_eval(ast, env, scope=None):
     raise TypeError(ast)
 
 
+def reference_sklansky(combine, xs):
+    """Prefix combines by slicing recursion: the generator's original shape,
+    kept as the oracle for its results and its order of combine calls."""
+    xs = list(xs)
+    if len(xs) <= 1:
+        return xs
+    mid = len(xs) // 2
+    left = reference_sklansky(combine, xs[:mid])
+    right = reference_sklansky(combine, xs[mid:])
+    pivot = left[-1]
+    return left + [combine(pivot, r) for r in right]
+
+
 def dag_children(node):
     match node:
         case ("add" | "sub", left, right):

@@ -1,5 +1,9 @@
 """The multiplication and running-sum workload generators."""
 
+import gc
+import operator
+import weakref
+
 from exprdag.builders import TreeBuilder, lower_to_tree
 from exprdag.dag import NAdd, NConst, NVar, build_dag, build_forest
 from exprdag.generators import mul, mul_shared, sklansky, sklansky_shared
@@ -97,6 +101,46 @@ class TestSklansky:
         for i in range(len(values)):
             got = evaluate(lambda b, i=i: programs(b)[i], env)
             assert got == sum(values[: i + 1])
+
+    def test_same_results_and_combine_calls_as_the_slicing_reference(self):
+        def logging(calls):
+            def combine(a, b):
+                calls.append((a, b))
+                return (a, b)
+
+            return combine
+
+        for n in range(71):
+            inputs = list(range(n))
+            got_calls, want_calls = [], []
+            got = sklansky(logging(got_calls), inputs)
+            want = helpers.reference_sklansky(logging(want_calls), inputs)
+            assert got == want
+            assert got_calls == want_calls
+            assert inputs == list(range(n))
+
+    def test_frames_entered_are_linear_in_the_input_count(self):
+        # one frame per span of the subdivision (2 * 256 - 1), plus sklansky
+        # and the lambda; operator.add is a builtin and enters none
+        result, calls = helpers.python_calls(lambda: sklansky(operator.add, range(256)))
+        assert result[-1] == sum(range(256))
+        assert calls <= 2 * 256 + 1
+
+    def test_inputs_are_freed_without_the_cyclic_collector(self):
+        class Item:
+            pass
+
+        items = [Item() for _ in range(256)]
+        refs = [weakref.ref(item) for item in items]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = sklansky(lambda a, b: b, items)
+            del items, result
+            assert [ref for ref in refs if ref() is not None] == []
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestSklanskyShared:
