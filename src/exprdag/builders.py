@@ -7,6 +7,8 @@ A tree node is a DAG node with subtrees where the DAG has ids, such as
 
 from __future__ import annotations
 
+import functools
+import gc
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Generic, TypeVar
 
@@ -14,6 +16,31 @@ T = TypeVar("T")
 
 #: A DSL program, abstracted over the interpreter that will run it.
 Program = Callable[["FullBuilder"], Any]
+
+
+def collector_paused(run: Callable[..., T]) -> Callable[..., T]:
+    """Wrap an entry point that runs a program so that it runs with the
+    cyclic garbage collector disabled, restoring the state it found.
+
+    A run allocates many tracked objects, closures and tuples, that form no
+    reference cycle, so collections during it traverse them for nothing and
+    reference counting frees them. The pause is process-global. When ``run``
+    returns or raises, the state it found is restored; on a return, its
+    frame and every term it held are freed by then. A nested run finds the
+    collector disabled and leaves it so.
+    """
+
+    @functools.wraps(run)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return run(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 def require_name(name: str) -> None:
@@ -86,6 +113,7 @@ class TreeBuilder(FullBuilder[tuple]):
         return body(bound)
 
 
+@collector_paused
 def lower_to_tree(program: Program) -> tuple:
     """Expand a program to its tree, eliminating let_ by substitution."""
     return program(TreeBuilder())

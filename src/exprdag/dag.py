@@ -12,14 +12,17 @@ node-to-id table, which stores the node itself on a miss. The explicit
 sharing form runs its bound expression once and replicates its id, and a
 let term is built once per Dag however many roots reach it; that is what
 makes compact programs build in time proportional to the DAG rather than to
-the expanded tree.
+the expanded tree. A build makes no reference cycles, so build_forest, and
+build_dag through it, runs with the cyclic garbage collector paused: its
+thousands of short-lived closures are freed by reference counting, and no
+collection traverses them mid-build.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .builders import FullBuilder, Program, require_int, require_name
+from .builders import FullBuilder, Program, collector_paused, require_int, require_name
 
 NodeId = int
 
@@ -191,6 +194,7 @@ def build_dag(program: Program) -> tuple[NodeId, Dag]:
     return root, dag
 
 
+@collector_paused
 def build_forest(program: Callable[[DagBuilder], Sequence[DagTerm]]) -> tuple[list[NodeId], Dag]:
     """Compile a program yielding several terms against one shared Dag.
 

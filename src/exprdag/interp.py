@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator, Mapping
 
-from .builders import FullBuilder, Program, require_int, require_name
+from .builders import FullBuilder, Program, collector_paused, require_int, require_name
 
 Env = Mapping[str, int]
 
@@ -65,6 +65,7 @@ class Evaluator(FullBuilder[int]):
         return body(bound)
 
 
+@collector_paused
 def evaluate(program: Program, env: Env) -> int:
     """Evaluate a program under an environment mapping names to values."""
     return program(Evaluator(env))
@@ -95,6 +96,7 @@ class SizeBuilder(FullBuilder[int]):
         return bound + body(0)
 
 
+@collector_paused
 def size(program: Program) -> int:
     return program(SizeBuilder())
 
@@ -124,6 +126,7 @@ class FlatPrinter(FullBuilder[str]):
         return body(bound)
 
 
+@collector_paused
 def print_flat(program: Program) -> str:
     return program(FlatPrinter())
 
@@ -217,6 +220,7 @@ def _binder_names(skip: set[str], drawn: list[str]) -> Iterator[str]:
             yield name
 
 
+@collector_paused
 def print_let(program: Program) -> str:
     """Render a program with its sharing shown as let bindings.
 

@@ -23,6 +23,7 @@ name no let has bound skips the chain walk.
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from .builders import FullBuilder
 
@@ -119,6 +120,50 @@ def parse(text: str) -> tuple:
     return node
 
 
+class _Elaborator:
+    """elaborate's dispatch, as a method rather than a nested function that
+    names itself, so that elaborating leaves no reference cycle behind. A let
+    hands let_ a partial of let_body, not a lambda, so elab has no closure
+    cells to make on every call."""
+
+    __slots__ = ("builder", "bound_names")
+
+    def __init__(self, builder: FullBuilder) -> None:
+        self.builder = builder
+        self.bound_names: set[str] = set()  # a binder's name enters before its body can run
+
+    def elab(self, ast, scope):
+        kind = ast[0] if type(ast) is tuple else None
+        if kind == "add":
+            return self.builder.add(self.elab(ast[1], scope), self.elab(ast[2], scope))
+        if kind == "var":
+            name = ast[1]
+            if name in self.bound_names:
+                while scope is not None:
+                    if scope[0] == name:
+                        return scope[1]
+                    scope = scope[2]
+            return self.builder.variable(name)
+        if kind == "sub":
+            return self.builder.sub(self.elab(ast[1], scope), self.elab(ast[2], scope))
+        if kind == "const":
+            return self.builder.constant(ast[1])
+        if kind == "let":
+            bound = self.elab(ast[2], scope)
+            self.bound_names.add(ast[1])
+            return self.builder.let_(bound, partial(self.let_body, ast, scope))
+        if kind == "neg":
+            operand = ast[1]
+            if type(operand) is tuple and operand[0] == "const":
+                return self.builder.constant(-operand[1])
+            return self.builder.neg(self.elab(operand, scope))
+        raise TypeError(f"not an expression tree: {ast!r}")
+
+    def let_body(self, ast, scope, term):
+        """The body of the let node ``ast``, with its name bound to ``term``."""
+        return self.elab(ast[3], (ast[1], term, scope))
+
+
 def elaborate(ast: tuple, builder: FullBuilder):
     """Turn an expression tree into a term of the given interpreter.
 
@@ -130,34 +175,4 @@ def elaborate(ast: tuple, builder: FullBuilder):
     A non-tuple or an unknown tag is a TypeError. Arity is not checked: a
     tuple too short for its tag is an IndexError, and extra items are ignored.
     """
-    bound_names = set()  # a binder's name enters before its body can run
-
-    def elab(ast, scope):
-        kind = ast[0] if type(ast) is tuple else None
-        if kind == "add":
-            return builder.add(elab(ast[1], scope), elab(ast[2], scope))
-        if kind == "var":
-            name = ast[1]
-            if name in bound_names:
-                while scope is not None:
-                    if scope[0] == name:
-                        return scope[1]
-                    scope = scope[2]
-            return builder.variable(name)
-        if kind == "sub":
-            return builder.sub(elab(ast[1], scope), elab(ast[2], scope))
-        if kind == "const":
-            return builder.constant(ast[1])
-        if kind == "let":
-            bound = elab(ast[2], scope)
-            bound_names.add(ast[1])
-            # closing over ast and scope only keeps elab's other locals out of cells
-            return builder.let_(bound, lambda term: elab(ast[3], (ast[1], term, scope)))
-        if kind == "neg":
-            operand = ast[1]
-            if type(operand) is tuple and operand[0] == "const":
-                return builder.constant(-operand[1])
-            return builder.neg(elab(operand, scope))
-        raise TypeError(f"not an expression tree: {ast!r}")
-
-    return elab(ast, None)
+    return _Elaborator(builder).elab(ast, None)
