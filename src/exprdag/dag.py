@@ -5,21 +5,22 @@ subexpressions occupy exactly one slot and every node's children sit at
 smaller ids. A node is a plain kind-tagged tuple such as
 ``("add", left, right)``, which ``NAdd(left, right)`` builds, so the
 hash-consing table hashes and compares nodes as tuples; given subtrees for
-ids, the same functions build a tree. A DagBuilder term is a plain function
-from the Dag under construction to the term's node id.
-Construction works bottom-up: consing a node is one lookup in the Dag's
-node-to-id table, which stores the node itself on a miss. The explicit
-sharing form runs its bound expression once and replicates its id, and a
-let term is built once per Dag however many roots reach it; that is what
-makes compact programs build in time proportional to the DAG rather than to
-the expanded tree. A build makes no reference cycles, so build_forest, and
-build_dag through it, runs with the cyclic garbage collector paused: its
-thousands of short-lived closures are freed by reference counting, and no
-collection traverses them mid-build.
+ids, the same functions build a tree. A DagBuilder term is a function from
+the node table of the Dag under construction to the term's node id. Consing
+a node is one lookup in that table, which stores the node on a miss, and a
+leaf term runs no Python frame at all. The explicit sharing form runs its
+bound expression once and replicates its id, and a let term is built once
+per table however many roots reach it; that is what makes compact programs
+build in time proportional to the DAG rather than to the expanded tree. A
+build makes no reference cycles, so build_forest, and build_dag through it,
+runs with the cyclic garbage collector paused: its thousands of short-lived
+closures are freed by reference counting, and no collection traverses them
+mid-build.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .builders import FullBuilder, Program, collector_paused, require_int, require_name
@@ -59,9 +60,9 @@ _KINDS = {
 
 
 class _NodeTable(dict):
-    """A Dag's node-to-id dict: a miss appends the node to ``nodes``."""
+    """A Dag's node-to-id dict (a miss appends to ``nodes``) and let memo ``lets``."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "lets")
 
     def __missing__(self, node: tuple) -> NodeId:
         node_id = self[node] = len(self.nodes)
@@ -70,7 +71,7 @@ class _NodeTable(dict):
 
 
 class _FrozenTable(dict):
-    """The empty table of a frozen Dag: every lookup is refused."""
+    """A frozen Dag's empty table, with an empty let memo: every lookup is refused."""
 
     def __missing__(self, node: tuple) -> NodeId:
         raise RuntimeError("Dag is frozen")
@@ -86,9 +87,9 @@ class Dag:
     """
 
     def __init__(self) -> None:
-        self._ids: dict[tuple, NodeId] = _NodeTable()
+        self._ids = _NodeTable()
         self._ids.nodes = self._nodes = []
-        self._lets: dict[object, NodeId] = {}
+        self._ids.lets = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -97,10 +98,10 @@ class Dag:
         """Return the id of an equal existing node, inserting on a miss.
 
         The node is a kind-tagged tuple such as ``("add", 0, 1)``. A ValueError,
-        storing nothing, rejects an unknown kind or length, a const that is not
-        an int, a var not a non-empty str, or a child not already in this Dag.
+        storing nothing, rejects a non-tuple, an unknown kind or length, a const
+        not an int, a var not a non-empty str, or a child not yet in this Dag.
         """
-        kind = node[0] if node else None
+        kind = node[0] if type(node) is tuple and node else None
         if kind not in _KINDS or _KINDS[kind][0] != len(node) or not (
             type(node[1]) is int if kind == "const"
             else type(node[1]) is str and node[1] != "" if kind == "var"
@@ -112,7 +113,7 @@ class Dag:
     def freeze(self) -> Dag:
         """Refuse every further lookup, let terms included, and return this Dag."""
         self._ids = _FrozenTable()
-        self._lets.clear()
+        self._ids.lets = {}
         return self
 
     def node(self, node_id: NodeId) -> tuple:
@@ -138,13 +139,13 @@ class Dag:
 BuildSession = Dag
 
 
-#: A DagBuilder term: running it conses the term's nodes into a Dag by
-#: indexing its table, and yields the term's node id. Terms stay deferred
-#: rather than already-built ids, so a term that appears twice is built twice
-#: unless the program shares it with let_; hash-consing still collapses the
-#: duplicates. A let_ term is built once per Dag: later runs against the same
-#: Dag return the id the first run built.
-DagTerm = Callable[[Dag], NodeId]
+#: A DagBuilder term: a function of a Dag's node table that conses the term's
+#: nodes by indexing it and yields its id; a leaf is an itemgetter and runs no
+#: Python frame. Terms stay deferred, so a term that appears twice is built
+#: twice unless the program shares it with let_; hash-consing still collapses
+#: the duplicates. A let_ term is built once per table: later runs against the
+#: same table return the id the first run built.
+DagTerm = Callable[[_NodeTable], NodeId]
 
 
 class DagBuilder(FullBuilder[DagTerm]):
@@ -152,37 +153,35 @@ class DagBuilder(FullBuilder[DagTerm]):
 
     let_ is the one construct that forces a computation exactly once and
     hands every use in the body the already-allocated id. Its term keeps
-    that id in the Dag under a key of its own, not under itself: a key
-    naming the closure would put every let term in a reference cycle.
+    that id in the table's ``lets`` under a key of its own, not under
+    itself: a key naming the closure would put every let term in a cycle.
     """
 
     def constant(self, value):
         require_int(value)
-        key = ("const", value)
-        return lambda dag: dag._ids[key]
+        return itemgetter(("const", value))
 
     def variable(self, name):
         require_name(name)
-        key = ("var", name)
-        return lambda dag: dag._ids[key]
+        return itemgetter(("var", name))
 
     def add(self, left, right):
-        return lambda dag: dag._ids["add", left(dag), right(dag)]
+        return lambda ids: ids["add", left(ids), right(ids)]
 
     def neg(self, operand):
-        return lambda dag: dag._ids["neg", operand(dag)]
+        return lambda ids: ids["neg", operand(ids)]
 
     def sub(self, left, right):
-        return lambda dag: dag._ids["sub", left(dag), right(dag)]
+        return lambda ids: ids["sub", left(ids), right(ids)]
 
     def let_(self, bound, body):
         key = object()
 
-        def run(dag):
-            node_id = dag._lets.get(key)
+        def run(ids):
+            node_id = ids.lets.get(key)
             if node_id is None:
-                shared = bound(dag)
-                node_id = dag._lets[key] = body(lambda _dag: shared)(dag)
+                shared = bound(ids)
+                node_id = ids.lets[key] = body(lambda _ids: shared)(ids)
             return node_id
 
         return run
@@ -204,8 +203,7 @@ def build_forest(program: Callable[[DagBuilder], Sequence[DagTerm]]) -> tuple[li
     """
     terms = program(DagBuilder())
     dag = Dag()
-    roots = [term(dag) for term in terms]
-    return roots, dag.freeze()
+    return [term(dag._ids) for term in terms], dag.freeze()
 
 
 def format_dag(roots: NodeId | Iterable[NodeId], dag: Dag) -> str:

@@ -57,8 +57,7 @@ def parse(text: str) -> tuple:
     bad = _BAD_CHAR.search(text)
     if bad:
         raise _error_at(text, bad.start(), f"unexpected character {bad.group()!r}")
-    tokens = _TOKEN.findall(text)
-    tokens.append("")
+    tokens = _TOKEN.findall(text) + [""]
     pos = 0
 
     def fail(index: int, message: str) -> ParseError:
@@ -115,9 +114,12 @@ def parse(text: str) -> tuple:
             return node
         raise fail(pos - 1, f"expected an expression, found {_describe(token)}")
 
-    node = expr()
-    expect("", "end of input")
-    return node
+    try:
+        node = expr()
+        expect("", "end of input")
+        return node
+    finally:  # the closures name each other through cells: break that cycle
+        fail = expect = expr = term = None
 
 
 class _Elaborator:

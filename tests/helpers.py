@@ -8,7 +8,7 @@ import random
 import sys
 
 from exprdag.builders import FullBuilder
-from exprdag.dag import NAdd, NConst, NNeg, NSub, NVar
+from exprdag.dag import Dag, DagBuilder, NAdd, NConst, NNeg, NSub, NVar, _NodeTable
 from exprdag.parser import elaborate
 
 _HALF = 1 << 63
@@ -162,6 +162,32 @@ def netlist_refs_are_backward(text):
                 assert operand in defined, line
         defined.add(target)
     return True
+
+
+class CountingTable(_NodeTable):
+    """A node table that counts its lookups, hits and misses alike, and its
+    misses apart."""
+
+    calls = misses = 0
+
+    def __getitem__(self, node):
+        self.calls += 1
+        return super().__getitem__(node)
+
+    def __missing__(self, node):
+        self.misses += 1
+        return super().__missing__(node)
+
+
+def counted_forest(program):
+    """Build a forest program's terms, in order, into a fresh Dag whose node
+    table counts; return that Dag unfrozen, and its table."""
+    dag = Dag()
+    table = dag._ids = CountingTable()
+    table.nodes, table.lets = dag._nodes, {}
+    for term in program(DagBuilder()):
+        term(table)
+    return dag, table
 
 
 def python_calls(run):

@@ -13,6 +13,7 @@ import pytest
 
 import exprdag
 from exprdag import (
+    ParseError,
     build_dag,
     build_forest,
     elaborate,
@@ -79,6 +80,22 @@ def test_a_forest_build_leaves_no_cyclic_garbage(collector):
     gc.collect()
     gc.disable()
     build_forest(_sklansky)
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [("let a = x + 1 in -a - (a + 2)", None), ("let a = in a", ParseError)],
+    ids=["program", "syntax-error"],
+)
+def test_a_parse_leaves_no_cyclic_garbage(collector, text, error):
+    gc.collect()
+    gc.disable()
+    if error is None:
+        parse(text)
+    else:
+        with pytest.raises(error):
+            parse(text)
     assert gc.collect() == 0
 
 

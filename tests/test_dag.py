@@ -1,5 +1,6 @@
 """The node store, hash-consing, and DAG construction."""
 
+import functools
 import pickle
 
 import pytest
@@ -12,7 +13,6 @@ from exprdag.dag import (
     NNeg,
     NSub,
     NVar,
-    _NodeTable,
     build_dag,
     build_forest,
     format_dag,
@@ -28,36 +28,6 @@ def exp_mul4(b):
 
 def inputs(b, count):
     return [b.variable(f"i{k}") for k in range(count)]
-
-
-class CountingTable(_NodeTable):
-    """A node table that counts lookups, hits and misses alike."""
-
-    calls = 0
-
-    def __getitem__(self, node):
-        self.calls += 1
-        return super().__getitem__(node)
-
-
-class CountingDag(Dag):
-    """A Dag whose table counts the lookups its terms make."""
-
-    def __init__(self):
-        super().__init__()
-        self._ids = CountingTable()
-        self._ids.nodes = self._nodes
-
-    @property
-    def calls(self):
-        return self._ids.calls
-
-
-def counted_forest(program):
-    dag = CountingDag()
-    for term in program(DagBuilder()):
-        term(dag)
-    return dag
 
 
 MUL4_ITEMS = [(0, NVar("i1")), (1, NAdd(0, 0)), (2, NAdd(1, 1))]
@@ -154,6 +124,9 @@ class TestHashcons:
             ("const", "x"),
             ("var", ""),
             ("var", 3),
+            5,
+            ["var", "x"],
+            None,
         ],
     )
     def test_a_malformed_node_is_rejected_and_not_stored(self, node):
@@ -174,9 +147,9 @@ class TestHashcons:
     def test_an_unfrozen_dag_keeps_consing_after_pickling(self):
         b = DagBuilder()
         dag = Dag()
-        assert b.add(b.variable("x"), b.constant(1))(dag) == 2
+        assert b.add(b.variable("x"), b.constant(1))(dag._ids) == 2
         again = pickle.loads(pickle.dumps(dag))
-        assert b.neg(b.add(b.variable("x"), b.constant(1)))(again) == 3
+        assert b.neg(b.add(b.variable("x"), b.constant(1)))(again._ids) == 3
         assert again.hashcons(NSub(3, 0)) == 4
         assert again.hashcons(NAdd(0, 1)) == 2
         assert again.items()[3:] == [(3, NNeg(2)), (4, NSub(3, 0))]
@@ -191,17 +164,17 @@ class TestHashcons:
         with pytest.raises(RuntimeError):
             dag.hashcons(NVar("i1"))
         with pytest.raises(RuntimeError):
-            DagBuilder().variable("i1")(dag)
+            DagBuilder().variable("i1")(dag._ids)
         assert dag.items() == [(0, NVar("i1"))]
 
     def test_frozen_dag_rejects_a_let_term_it_already_built(self):
         b = DagBuilder()
         term = mul_shared(b, 4, b.variable("i1"))
         dag = Dag()
-        assert term(dag) == 2
+        assert term(dag._ids) == 2
         dag.freeze()
         with pytest.raises(RuntimeError):
-            term(dag)
+            term(dag._ids)
 
 
 class TestBuildDag:
@@ -283,13 +256,13 @@ class TestForestCost:
 
     @pytest.mark.parametrize("count, calls", [(256, 1408), (1024, 6656)], ids=["256", "1024"])
     def test_shared_forest_builds_each_let_once(self, count, calls):
-        dag = counted_forest(lambda b: sklansky_shared(b, inputs(b, count)))
-        assert dag.calls == calls
+        _, table = helpers.counted_forest(lambda b: sklansky_shared(b, inputs(b, count)))
+        assert table.calls == calls
 
     def test_unshared_forest_rebuilds_every_prefix(self):
-        dag = counted_forest(lambda b: sklansky(b.add, inputs(b, 256)))
-        assert len(dag) == 1280
-        assert dag.calls == 256 * 256
+        dag, table = helpers.counted_forest(lambda b: sklansky(b.add, inputs(b, 256)))
+        assert len(dag) == table.misses == 1280
+        assert table.calls == 256 * 256
 
 
 class TestMulCost:
@@ -297,20 +270,31 @@ class TestMulCost:
 
     @pytest.mark.parametrize("n, calls", [(2**12, 8191), (2**13, 16383)])
     def test_unshared_mul_walks_the_whole_tree(self, n, calls):
-        dag = counted_forest(lambda b: [mul(b, n, b.variable("i"))])
-        assert dag.calls == calls == 2 * n - 1
+        _, table = helpers.counted_forest(lambda b: [mul(b, n, b.variable("i"))])
+        assert table.calls == calls == 2 * n - 1
 
     @pytest.mark.parametrize("n, calls", [(2**12, 13), (2**20, 21), (2**30, 31)])
     def test_shared_mul_makes_one_call_per_bit(self, n, calls):
-        dag = counted_forest(lambda b: [mul_shared(b, n, b.variable("i"))])
-        assert dag.calls == calls == n.bit_length()
+        _, table = helpers.counted_forest(lambda b: [mul_shared(b, n, b.variable("i"))])
+        assert table.calls == calls == n.bit_length()
 
     def test_a_hash_cons_hit_runs_no_python_frame(self):
-        """One frame per term visit (8,191 here) and a few for the misses and
-        the program; a frame per lookup as well would make about 16,400."""
+        """One frame per add visit (4,095 here), none per leaf visit, and a
+        few for the misses and the program; a frame per leaf visit as well
+        would make about 8,200, and per lookup as well about 16,400."""
         program = lambda b: mul(b, 2**12, b.variable("x"))
         _, calls = helpers.python_calls(lambda: build_dag(program))
-        assert calls < 9000
+        assert calls < 4200
+
+    @pytest.mark.parametrize(
+        "leaf", [lambda b: b.constant(7), lambda b: b.variable("x")], ids=["constant", "variable"]
+    )
+    def test_a_leaf_term_runs_no_python_frame(self, leaf):
+        """A leaf is an itemgetter: a hit runs no Python frame, and a miss
+        runs only the table's __missing__."""
+        run = functools.partial(leaf(DagBuilder()), Dag()._ids)
+        assert helpers.python_calls(run) == (0, 1)
+        assert helpers.python_calls(run) == (0, 0)
 
 
 class TestDisplay:
@@ -359,13 +343,13 @@ def test_terms_can_be_rerun_in_fresh_sessions():
     term = exp_mul4(DagBuilder())
     first = Dag()
     second = Dag()
-    assert term(first) == term(second) == 2
+    assert term(first._ids) == term(second._ids) == 2
     assert first.freeze() == second.freeze()
 
     b = DagBuilder()
     terms = sklansky_shared(b, inputs(b, 8))
     first = Dag()
     second = Dag()
-    assert [term(first) for term in terms] == [term(second) for term in terms]
+    assert [term(first._ids) for term in terms] == [term(second._ids) for term in terms]
     assert len(second) == 8 + 12
     assert first.freeze() == second.freeze()

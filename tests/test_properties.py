@@ -111,6 +111,18 @@ def test_dag_node_count_matches_the_interning_oracle(ast):
     assert len(dag) == helpers.expected_dag_node_count(ast)
 
 
+@given(asts())
+def test_a_build_looks_up_the_table_once_per_constructor(ast):
+    # The paper's cost claim as an exact count: with each let term run once,
+    # a build makes one table lookup per constructor of the program as
+    # written, a let-bound name's uses free, and one miss per node.
+    program = helpers.program_of(ast)
+    dag, table = helpers.counted_forest(lambda b: [program(b)])
+    assert table.calls == size(program)
+    assert table.misses == len(dag)
+    assert dag.freeze() == build_dag(program)[1]
+
+
 @given(asts(with_let=False))
 def test_dag_node_count_equals_distinct_subtree_count(ast):
     # with no lets, every distinct subtree of the expanded tree is one node
