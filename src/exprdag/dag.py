@@ -10,7 +10,7 @@ the node table of the Dag under construction to the term's node id. Consing
 a node is one lookup in that table, which stores the node on a miss, and a
 leaf term runs no Python frame at all. The explicit sharing form runs its
 bound expression once and replicates its id, and a let term is built once
-per table however many roots reach it; that is what makes compact programs
+per build however many roots reach it; that is what makes compact programs
 build in time proportional to the DAG rather than to the expanded tree. A
 build makes no reference cycles, so build_forest, and build_dag through it,
 runs with the cyclic garbage collector paused: its thousands of short-lived
@@ -60,9 +60,9 @@ _KINDS = {
 
 
 class _NodeTable(dict):
-    """A Dag's node-to-id dict (a miss appends to ``nodes``) and let memo ``lets``."""
+    """A Dag's node-to-id dict: a miss appends the node to ``nodes``."""
 
-    __slots__ = ("nodes", "lets")
+    __slots__ = ("nodes",)
 
     def __missing__(self, node: tuple) -> NodeId:
         node_id = self[node] = len(self.nodes)
@@ -71,7 +71,7 @@ class _NodeTable(dict):
 
 
 class _FrozenTable(dict):
-    """A frozen Dag's empty table, with an empty let memo: every lookup is refused."""
+    """A frozen Dag's empty table: every lookup is refused."""
 
     def __missing__(self, node: tuple) -> NodeId:
         raise RuntimeError("Dag is frozen")
@@ -89,7 +89,6 @@ class Dag:
     def __init__(self) -> None:
         self._ids = _NodeTable()
         self._ids.nodes = self._nodes = []
-        self._ids.lets = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -111,9 +110,8 @@ class Dag:
         return self._ids[node]
 
     def freeze(self) -> Dag:
-        """Refuse every further lookup, let terms included, and return this Dag."""
+        """Make every lookup raise RuntimeError, so no term can add to this Dag; return it."""
         self._ids = _FrozenTable()
-        self._ids.lets = {}
         return self
 
     def node(self, node_id: NodeId) -> tuple:
@@ -134,17 +132,13 @@ class Dag:
         return f"Dag({self.items()!r})"
 
 
-#: Second name for Dag, for callers that build with
-#: ``BuildSession().hashcons(...)`` and ``.freeze()``.
-BuildSession = Dag
-
-
 #: A DagBuilder term: a function of a Dag's node table that conses the term's
 #: nodes by indexing it and yields its id; a leaf is an itemgetter and runs no
 #: Python frame. Terms stay deferred, so a term that appears twice is built
 #: twice unless the program shares it with let_; hash-consing still collapses
-#: the duplicates. A let_ term is built once per table: later runs against the
-#: same table return the id the first run built.
+#: the duplicates. A let_ term keeps the table it last ran on and the id it
+#: built there; a build runs every term on one table, so a let term that
+#: several roots reach is still built once per build.
 DagTerm = Callable[[_NodeTable], NodeId]
 
 
@@ -152,9 +146,10 @@ class DagBuilder(FullBuilder[DagTerm]):
     """Builds hash-consed DAGs bottom-up, left to right.
 
     let_ is the one construct that forces a computation exactly once and
-    hands every use in the body the already-allocated id. Its term keeps
-    that id in the table's ``lets`` under a key of its own, not under
-    itself: a key naming the closure would put every let term in a cycle.
+    hands every use in the body the already-allocated id. Its term holds
+    the table it last ran on and the id built there, and builds again on
+    any other table. Holding the table keeps a new one from reusing its
+    identity, and makes no cycle: a table never refers to a term.
     """
 
     def constant(self, value):
@@ -175,13 +170,14 @@ class DagBuilder(FullBuilder[DagTerm]):
         return lambda ids: ids["sub", left(ids), right(ids)]
 
     def let_(self, bound, body):
-        key = object()
+        table = node_id = None
 
         def run(ids):
-            node_id = ids.lets.get(key)
-            if node_id is None:
+            nonlocal table, node_id
+            if table is not ids:
                 shared = bound(ids)
-                node_id = ids.lets[key] = body(lambda _ids: shared)(ids)
+                node_id = body(lambda _ids: shared)(ids)
+                table = ids
             return node_id
 
         return run

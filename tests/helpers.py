@@ -179,15 +179,37 @@ class CountingTable(_NodeTable):
         return super().__missing__(node)
 
 
+class CountingBuilder(DagBuilder):
+    """A DagBuilder that counts the let terms it makes, their runs, and the
+    bodies they run, which is once per let term built."""
+
+    lets = let_runs = bodies_run = 0
+
+    def let_(self, bound, body):
+        def counted_body(shared):
+            self.bodies_run += 1
+            return body(shared)
+
+        def counted_run(ids):
+            self.let_runs += 1
+            return run(ids)
+
+        self.lets += 1
+        run = super().let_(bound, counted_body)
+        return counted_run
+
+
 def counted_forest(program):
-    """Build a forest program's terms, in order, into a fresh Dag whose node
-    table counts; return that Dag unfrozen, and its table."""
+    """Build a forest program's terms, in order, with a CountingBuilder into a
+    fresh Dag whose node table counts; return that Dag unfrozen, its table and
+    the builder."""
     dag = Dag()
     table = dag._ids = CountingTable()
-    table.nodes, table.lets = dag._nodes, {}
-    for term in program(DagBuilder()):
+    table.nodes = dag._nodes
+    builder = CountingBuilder()
+    for term in program(builder):
         term(table)
-    return dag, table
+    return dag, table, builder
 
 
 def python_calls(run):

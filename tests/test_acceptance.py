@@ -8,7 +8,7 @@ import random
 import time
 from statistics import median
 
-from exprdag.dag import BuildSession, NAdd, NVar, build_dag, build_forest
+from exprdag.dag import Dag, NAdd, NVar, build_dag, build_forest
 from exprdag.generators import mul, mul_shared, sklansky
 from exprdag.interp import evaluate, print_flat, print_let, size
 from exprdag.netlist import eval_dag
@@ -165,7 +165,7 @@ def test_criterion_7_random_program_sweep():
             assert evaluate(reparsed, env) == expected
 
             # (e) hash-consing is idempotent
-            session = BuildSession()
+            session = Dag()
             for node_id, node in dag.items():
                 assert session.hashcons(node) == node_id
             for node_id, node in dag.items():

@@ -176,6 +176,24 @@ class TestHashcons:
         with pytest.raises(RuntimeError):
             term(dag._ids)
 
+    def test_a_leaked_alias_let_stores_nothing_in_a_frozen_dag(self):
+        """A let whose bound is another let's shared id makes no lookup, so
+        it runs against a frozen Dag; it must leave nothing behind there."""
+        leaked = []
+
+        def program(b):
+            def body(u):
+                leaked.append(b.let_(u, lambda w: w))
+                return b.add(u, u)
+
+            return b.let_(b.variable("x"), body)
+
+        _, dag = build_dag(program)
+        items = dag.items()
+        assert leaked[0](dag._ids) == leaked[0](dag._ids) == 0
+        assert dag.items() == items
+        assert len(dag._ids) == 0 and vars(dag._ids) == {}
+
 
 class TestBuildDag:
     def test_mul4_layout(self):
@@ -254,13 +272,21 @@ class TestBuildForest:
 class TestForestCost:
     """The cost shape of forest builds, counted in node-table lookups."""
 
-    @pytest.mark.parametrize("count, calls", [(256, 1408), (1024, 6656)], ids=["256", "1024"])
-    def test_shared_forest_builds_each_let_once(self, count, calls):
-        _, table = helpers.counted_forest(lambda b: sklansky_shared(b, inputs(b, count)))
+    @pytest.mark.parametrize(
+        "count, calls, let_runs, lets",
+        [(256, 1408, 1920, 1024), (1024, 6656, 9728, 5120)],
+        ids=["256", "1024"],
+    )
+    def test_shared_forest_builds_each_let_once(self, count, calls, let_runs, lets):
+        _, table, builder = helpers.counted_forest(
+            lambda b: sklansky_shared(b, inputs(b, count))
+        )
         assert table.calls == calls
+        assert builder.let_runs == let_runs
+        assert builder.bodies_run == builder.lets == lets
 
     def test_unshared_forest_rebuilds_every_prefix(self):
-        dag, table = helpers.counted_forest(lambda b: sklansky(b.add, inputs(b, 256)))
+        dag, table, _ = helpers.counted_forest(lambda b: sklansky(b.add, inputs(b, 256)))
         assert len(dag) == table.misses == 1280
         assert table.calls == 256 * 256
 
@@ -270,12 +296,12 @@ class TestMulCost:
 
     @pytest.mark.parametrize("n, calls", [(2**12, 8191), (2**13, 16383)])
     def test_unshared_mul_walks_the_whole_tree(self, n, calls):
-        _, table = helpers.counted_forest(lambda b: [mul(b, n, b.variable("i"))])
+        _, table, _ = helpers.counted_forest(lambda b: [mul(b, n, b.variable("i"))])
         assert table.calls == calls == 2 * n - 1
 
     @pytest.mark.parametrize("n, calls", [(2**12, 13), (2**20, 21), (2**30, 31)])
     def test_shared_mul_makes_one_call_per_bit(self, n, calls):
-        _, table = helpers.counted_forest(lambda b: [mul_shared(b, n, b.variable("i"))])
+        _, table, _ = helpers.counted_forest(lambda b: [mul_shared(b, n, b.variable("i"))])
         assert table.calls == calls == n.bit_length()
 
     def test_a_hash_cons_hit_runs_no_python_frame(self):
@@ -353,3 +379,38 @@ def test_terms_can_be_rerun_in_fresh_sessions():
     assert [term(first._ids) for term in terms] == [term(second._ids) for term in terms]
     assert len(second) == 8 + 12
     assert first.freeze() == second.freeze()
+
+
+def test_a_let_term_run_on_two_dags_in_turn_keeps_each_dags_ids():
+    """A let term keeps only the table it last ran on, so running it on two
+    Dags in turn rebuilds it each time, and hash-consing gives back the ids
+    that Dag already holds."""
+    b = helpers.CountingBuilder()
+    term = b.let_(b.variable("x"), lambda x: b.add(x, b.constant(1)))
+    first, second = Dag(), Dag()
+    second.hashcons(NVar("y"))
+    assert term(first._ids) == term(first._ids) == 2
+    assert b.bodies_run == 1
+    items = first.items()
+    for _ in range(2):
+        assert term(second._ids) == 3
+        assert term(first._ids) == 2
+    assert first.items() == items
+    assert len(second) == 4
+    assert b.bodies_run == 5
+
+
+def test_a_let_term_builds_on_every_table_it_has_not_built_on():
+    """A fresh Dag may reuse a freed table's memory, and a refused build
+    records nothing, so neither can return an id built elsewhere."""
+    b = DagBuilder()
+    term = b.let_(b.variable("x"), lambda x: b.add(x, x))
+    for _ in range(3):
+        dag = Dag()
+        assert term(dag._ids) == 1
+        assert len(dag) == 2
+        del dag
+    dag = Dag().freeze()
+    for _ in range(2):
+        with pytest.raises(RuntimeError):
+            term(dag._ids)

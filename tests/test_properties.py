@@ -117,7 +117,8 @@ def test_a_build_looks_up_the_table_once_per_constructor(ast):
     # a build makes one table lookup per constructor of the program as
     # written, a let-bound name's uses free, and one miss per node.
     program = helpers.program_of(ast)
-    dag, table = helpers.counted_forest(lambda b: [program(b)])
+    dag, table, builder = helpers.counted_forest(lambda b: [program(b)])
+    assert builder.let_runs == builder.bodies_run == builder.lets
     assert table.calls == size(program)
     assert table.misses == len(dag)
     assert dag.freeze() == build_dag(program)[1]
