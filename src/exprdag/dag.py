@@ -3,12 +3,11 @@
 A compiled program is a dense array of flat nodes where structurally equal
 subexpressions occupy exactly one slot and every node's children sit at
 smaller ids. A node is a plain kind-tagged tuple such as
-``("add", left, right)``, which ``NAdd(left, right)`` builds, so the
-hash-consing table hashes and compares nodes as tuples; given subtrees for
-ids, the same functions build a tree. A DagBuilder term is a function from
-the node table of the Dag under construction to the term's node id. Consing
-a node is one lookup in that table, which stores the node on a miss, and a
-leaf term runs no Python frame at all. The explicit sharing form runs its
+``("add", left, right)``, so the hash-consing table hashes and compares
+nodes as tuples. A DagBuilder term is a function from the node table of the
+Dag under construction to the term's node id. Consing a node is one lookup
+in that table, which stores the node on a miss, and a leaf term runs no
+Python frame at all. The explicit sharing form runs its
 bound expression once and replicates its id, and a let term is built once
 per build however many roots reach it; that is what makes compact programs
 build in time proportional to the DAG rather than to the expanded tree. A
@@ -26,26 +25,6 @@ from typing import Callable, Iterable, Sequence
 from .builders import FullBuilder, Program, collector_paused, require_int, require_name
 
 NodeId = int
-
-
-def NConst(value: int) -> tuple:
-    return ("const", value)
-
-
-def NVar(name: str) -> tuple:
-    return ("var", name)
-
-
-def NAdd(left: NodeId, right: NodeId) -> tuple:
-    return ("add", left, right)
-
-
-def NNeg(operand: NodeId) -> tuple:
-    return ("neg", operand)
-
-
-def NSub(left: NodeId, right: NodeId) -> tuple:
-    return ("sub", left, right)
 
 
 #: Each node kind's tuple length and its text in format_dag. hashcons admits

@@ -9,11 +9,14 @@ from .builders import FullBuilder
 
 
 def mul(builder: FullBuilder, n: int, x):
-    """A term worth n times x, built from additions only.
+    """A term worth n times x, built from additions only. n must be an int,
+    and a bool is not one.
 
     Even steps recurse on the doubled operand, duplicating it in the result;
     nothing is shared explicitly.
     """
+    if type(n) is not int:
+        raise TypeError(f"multiplier must be an int, not {type(n).__name__}")
     if n < 0:
         return builder.neg(mul(builder, -n, x))
     if n == 0:
@@ -29,6 +32,8 @@ def mul_shared(builder: FullBuilder, n: int, x):
     """Like mul, but each doubling binds its operand with let_ so the chain
     is shared; the odd-step addend is deliberately left for hash-consing to
     discover."""
+    if type(n) is not int:
+        raise TypeError(f"multiplier must be an int, not {type(n).__name__}")
     if n < 0:
         return builder.neg(mul_shared(builder, -n, x))
     if n == 0:

@@ -8,7 +8,7 @@ import random
 import sys
 
 from exprdag.builders import FullBuilder
-from exprdag.dag import Dag, DagBuilder, NAdd, NConst, NNeg, NSub, NVar, _NodeTable
+from exprdag.dag import Dag, DagBuilder, _NodeTable
 from exprdag.parser import elaborate
 
 _HALF = 1 << 63
@@ -239,17 +239,17 @@ def random_ast(rng: random.Random, max_depth: int, scope=()):
     if max_depth <= 0 or rng.random() < 0.3:
         roll = rng.random()
         if roll < 0.35:
-            return NConst(rng.randint(-999, 999))
+            return ("const", rng.randint(-999, 999))
         if scope and roll < 0.7:
-            return NVar(rng.choice(scope))
-        return NVar(rng.choice(FREE_NAMES))
+            return ("var", rng.choice(scope))
+        return ("var", rng.choice(FREE_NAMES))
     pick = rng.random()
     if pick < 0.35:
-        return NAdd(random_ast(rng, max_depth - 1, scope), random_ast(rng, max_depth - 1, scope))
+        return ("add", random_ast(rng, max_depth - 1, scope), random_ast(rng, max_depth - 1, scope))
     if pick < 0.55:
-        return NSub(random_ast(rng, max_depth - 1, scope), random_ast(rng, max_depth - 1, scope))
+        return ("sub", random_ast(rng, max_depth - 1, scope), random_ast(rng, max_depth - 1, scope))
     if pick < 0.7:
-        return NNeg(random_ast(rng, max_depth - 1, scope))
+        return ("neg", random_ast(rng, max_depth - 1, scope))
     name = rng.choice(LET_NAMES)
     bound = random_ast(rng, max_depth - 1, scope)
     body = random_ast(rng, max_depth - 1, scope + (name,))

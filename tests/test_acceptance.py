@@ -8,7 +8,7 @@ import random
 import time
 from statistics import median
 
-from exprdag.dag import Dag, NAdd, NVar, build_dag, build_forest
+from exprdag.dag import Dag, build_dag, build_forest
 from exprdag.generators import mul, mul_shared, sklansky
 from exprdag.interp import evaluate, print_flat, print_let, size
 from exprdag.netlist import eval_dag
@@ -42,10 +42,10 @@ def test_criterion_1_doubling_chain_dag_layout():
     def check():
         root, dag = build_dag(exp_mul4)
         assert root == 2
-        assert dag.items() == [(0, NVar("i1")), (1, NAdd(0, 0)), (2, NAdd(1, 1))]
+        assert dag.items() == [(0, ("var", "i1")), (1, ("add", 0, 0)), (2, ("add", 1, 1))]
         root8, dag8 = build_dag(lambda b: mul(b, 8, b.variable("i1")))
         assert root8 == 3
-        assert dag8.items() == dag.items() + [(3, NAdd(2, 2))]
+        assert dag8.items() == dag.items() + [(3, ("add", 2, 2))]
 
     _report("criterion 1: multiply-by-4/8 DAG layout is exact", check)
 
@@ -57,14 +57,14 @@ def test_criterion_2_running_sum_forest_layout():
         )
         assert roots == [0, 2, 4, 7]
         assert dag.items() == [
-            (0, NVar("1")),
-            (1, NVar("2")),
-            (2, NAdd(0, 1)),
-            (3, NVar("3")),
-            (4, NAdd(2, 3)),
-            (5, NVar("4")),
-            (6, NAdd(3, 5)),
-            (7, NAdd(2, 6)),
+            (0, ("var", "1")),
+            (1, ("var", "2")),
+            (2, ("add", 0, 1)),
+            (3, ("var", "3")),
+            (4, ("add", 2, 3)),
+            (5, ("var", "4")),
+            (6, ("add", 3, 5)),
+            (7, ("add", 2, 6)),
         ]
 
     _report("criterion 2: running-sum forest of four inputs is exact", check)
@@ -75,13 +75,13 @@ def test_criterion_3_partially_shared_multiplier_dag():
         root, dag = build_dag(lambda b: mul_shared(b, 15, b.variable("i")))
         assert root == 6
         assert dag.items() == [
-            (0, NVar("i")),
-            (1, NAdd(0, 0)),
-            (2, NAdd(1, 1)),
-            (3, NAdd(2, 2)),
-            (4, NAdd(2, 3)),
-            (5, NAdd(1, 4)),
-            (6, NAdd(0, 5)),
+            (0, ("var", "i")),
+            (1, ("add", 0, 0)),
+            (2, ("add", 1, 1)),
+            (3, ("add", 2, 2)),
+            (4, ("add", 2, 3)),
+            (5, ("add", 1, 4)),
+            (6, ("add", 0, 5)),
         ]
 
     _report("criterion 3: multiply-by-15 with declared sharing is exact", check)

@@ -3,18 +3,18 @@
 import pytest
 
 from exprdag.builders import FullBuilder, TreeBuilder, lower_to_tree
-from exprdag.dag import DagBuilder, NAdd, NConst, NNeg, NSub, NVar
+from exprdag.dag import DagBuilder
 from exprdag.interp import Evaluator, FlatPrinter, LetPrinter, SizeBuilder
 
 import helpers
 
 
 def test_constant_builds_leaf():
-    assert TreeBuilder().constant(10) == NConst(10)
+    assert TreeBuilder().constant(10) == ("const", 10)
 
 
 def test_variable_builds_leaf():
-    assert TreeBuilder().variable("i1") == NVar("i1")
+    assert TreeBuilder().variable("i1") == ("var", "i1")
 
 
 @pytest.mark.parametrize(
@@ -42,50 +42,50 @@ def test_empty_variable_name_rejected(make, leaf, payload, error):
 
 def test_add_builds_pair():
     b = TreeBuilder()
-    assert b.add(b.constant(10), b.variable("i1")) == NAdd(NConst(10), NVar("i1"))
+    assert b.add(b.constant(10), b.variable("i1")) == ("add", ("const", 10), ("var", "i1"))
 
 
 def test_adds_nest():
     b = TreeBuilder()
     exp_a = b.add(b.constant(10), b.variable("i1"))
     exp_b = b.add(exp_a, b.variable("i2"))
-    assert exp_b == NAdd(NAdd(NConst(10), NVar("i1")), NVar("i2"))
+    assert exp_b == ("add", ("add", ("const", 10), ("var", "i1")), ("var", "i2"))
 
 
 def test_neg_and_sub_nodes():
     b = TreeBuilder()
-    assert b.neg(b.variable("x")) == NNeg(NVar("x"))
-    assert b.sub(b.constant(5), b.constant(5)) == NSub(NConst(5), NConst(5))
+    assert b.neg(b.variable("x")) == ("neg", ("var", "x"))
+    assert b.sub(b.constant(5), b.constant(5)) == ("sub", ("const", 5), ("const", 5))
 
 
 def test_let_substitutes_bound_tree_into_body():
     def program(b):
         return b.let_(b.add(b.variable("i1"), b.variable("i1")), lambda y: b.add(y, y))
 
-    doubled = NAdd(NVar("i1"), NVar("i1"))
-    assert lower_to_tree(program) == NAdd(doubled, doubled)
+    doubled = ("add", ("var", "i1"), ("var", "i1"))
+    assert lower_to_tree(program) == ("add", doubled, doubled)
 
 
 def test_let_identity_body_is_the_bound_tree():
     def program(b):
         return b.let_(b.add(b.constant(1), b.constant(2)), lambda y: y)
 
-    assert lower_to_tree(program) == NAdd(NConst(1), NConst(2))
+    assert lower_to_tree(program) == ("add", ("const", 1), ("const", 2))
 
 
 def test_let_with_constant_body_drops_the_binding():
     def program(b):
         return b.let_(b.variable("x"), lambda _y: b.constant(3))
 
-    assert lower_to_tree(program) == NConst(3)
+    assert lower_to_tree(program) == ("const", 3)
 
 
 def test_trees_compare_structurally_and_hash():
-    one = NAdd(NConst(1), NVar("v"))
-    two = NAdd(NConst(1), NVar("v"))
+    one = ("add", ("const", 1), ("var", "v"))
+    two = ("add", ("const", 1), ("var", "v"))
     assert one == two and hash(one) == hash(two)
-    assert one != NAdd(NVar("v"), NConst(1))
-    assert NSub(NConst(1), NConst(2)) != NAdd(NConst(1), NConst(2))
+    assert one != ("add", ("var", "v"), ("const", 1))
+    assert ("sub", ("const", 1), ("const", 2)) != ("add", ("const", 1), ("const", 2))
 
 
 def test_trees_are_immutable():

@@ -5,18 +5,7 @@ import pickle
 
 import pytest
 
-from exprdag.dag import (
-    Dag,
-    DagBuilder,
-    NAdd,
-    NConst,
-    NNeg,
-    NSub,
-    NVar,
-    build_dag,
-    build_forest,
-    format_dag,
-)
+from exprdag.dag import Dag, DagBuilder, build_dag, build_forest, format_dag
 from exprdag.generators import mul, mul_shared, sklansky, sklansky_shared
 
 import helpers
@@ -30,7 +19,7 @@ def inputs(b, count):
     return [b.variable(f"i{k}") for k in range(count)]
 
 
-MUL4_ITEMS = [(0, NVar("i1")), (1, NAdd(0, 0)), (2, NAdd(1, 1))]
+MUL4_ITEMS = [(0, ("var", "i1")), (1, ("add", 0, 0)), (2, ("add", 1, 1))]
 
 
 class TestBiMap:
@@ -38,31 +27,31 @@ class TestBiMap:
 
     def test_lookup_key_on_empty_map(self):
         dag = Dag()
-        assert dag.hashcons(NVar("i1")) == 0
+        assert dag.hashcons(("var", "i1")) == 0
         assert len(dag) == 1
 
     def test_insert_starts_at_zero_and_counts_up(self):
         dag = Dag()
-        assert dag.hashcons(NVar("i1")) == 0
-        assert dag.hashcons(NAdd(0, 0)) == 1
+        assert dag.hashcons(("var", "i1")) == 0
+        assert dag.hashcons(("add", 0, 0)) == 1
         assert len(dag) == 2
 
     def test_round_trip_both_directions(self):
         dag = Dag()
-        node_id = dag.hashcons(NVar("i1"))
-        assert dag.hashcons(NVar("i1")) == node_id == 0
-        assert dag.node(0) == NVar("i1")
+        node_id = dag.hashcons(("var", "i1"))
+        assert dag.hashcons(("var", "i1")) == node_id == 0
+        assert dag.node(0) == ("var", "i1")
         assert len(dag) == 1
 
     def test_lookup_key_misses_on_absent_node(self):
         dag = Dag()
-        dag.hashcons(NVar("i1"))
-        assert dag.hashcons(NAdd(0, 0)) == 1
-        assert dag.items() == [(0, NVar("i1")), (1, NAdd(0, 0))]
+        dag.hashcons(("var", "i1"))
+        assert dag.hashcons(("add", 0, 0)) == 1
+        assert dag.items() == [(0, ("var", "i1")), (1, ("add", 0, 0))]
 
     def test_lookup_val_out_of_range_is_a_hard_error(self):
         dag = Dag()
-        dag.hashcons(NVar("i1"))
+        dag.hashcons(("var", "i1"))
         with pytest.raises(KeyError):
             dag.node(1)
         with pytest.raises(KeyError):
@@ -72,32 +61,32 @@ class TestBiMap:
 class TestHashcons:
     def test_first_cons_allocates_id_zero(self):
         dag = Dag()
-        assert dag.hashcons(NVar("i1")) == 0
-        assert dag.freeze().items() == [(0, NVar("i1"))]
+        assert dag.hashcons(("var", "i1")) == 0
+        assert dag.freeze().items() == [(0, ("var", "i1"))]
 
     def test_consing_the_same_node_again_returns_the_same_id(self):
         dag = Dag()
-        assert dag.hashcons(NVar("i1")) == 0
-        assert dag.hashcons(NVar("i1")) == 0
+        assert dag.hashcons(("var", "i1")) == 0
+        assert dag.hashcons(("var", "i1")) == 0
         assert len(dag.freeze()) == 1
 
     def test_new_node_gets_the_next_id(self):
         dag = Dag()
-        dag.hashcons(NVar("i1"))
-        assert dag.hashcons(NAdd(0, 0)) == 1
+        dag.hashcons(("var", "i1"))
+        assert dag.hashcons(("add", 0, 0)) == 1
 
     def test_the_kind_tag_separates_node_kinds(self):
         dag = Dag()
-        dag.hashcons(NVar("x"))
-        dag.hashcons(NVar("y"))
-        assert dag.hashcons(NAdd(0, 1)) != dag.hashcons(NSub(0, 1))
-        assert dag.hashcons(NConst(0)) != dag.hashcons(NNeg(0))
+        dag.hashcons(("var", "x"))
+        dag.hashcons(("var", "y"))
+        assert dag.hashcons(("add", 0, 1)) != dag.hashcons(("sub", 0, 1))
+        assert dag.hashcons(("const", 0)) != dag.hashcons(("neg", 0))
         assert len(dag) == 6
 
     def test_a_node_is_stored_as_the_plain_tagged_tuple(self):
         dag = Dag()
-        dag.hashcons(NVar("i1"))
-        assert dag.hashcons(("add", 0, 0)) == dag.hashcons(NAdd(0, 0)) == 1
+        dag.hashcons(("var", "i1"))
+        assert dag.hashcons(("add", 0, 0)) == dag.hashcons(("add", 0, 0)) == 1
         node = dag.node(1)
         assert node == ("add", 0, 0)
         assert type(node) is tuple
@@ -131,7 +120,7 @@ class TestHashcons:
     )
     def test_a_malformed_node_is_rejected_and_not_stored(self, node):
         dag = Dag()
-        dag.hashcons(NVar("x"))
+        dag.hashcons(("var", "x"))
         with pytest.raises(ValueError, match="not a DAG node"):
             dag.hashcons(node)
         assert len(dag) == 1
@@ -150,22 +139,22 @@ class TestHashcons:
         assert b.add(b.variable("x"), b.constant(1))(dag._ids) == 2
         again = pickle.loads(pickle.dumps(dag))
         assert b.neg(b.add(b.variable("x"), b.constant(1)))(again._ids) == 3
-        assert again.hashcons(NSub(3, 0)) == 4
-        assert again.hashcons(NAdd(0, 1)) == 2
-        assert again.items()[3:] == [(3, NNeg(2)), (4, NSub(3, 0))]
+        assert again.hashcons(("sub", 3, 0)) == 4
+        assert again.hashcons(("add", 0, 1)) == 2
+        assert again.items()[3:] == [(3, ("neg", 2)), (4, ("sub", 3, 0))]
         assert len(again) == 5 and len(dag) == 3
 
     def test_frozen_session_rejects_further_consing(self):
         dag = Dag()
-        dag.hashcons(NVar("i1"))
+        dag.hashcons(("var", "i1"))
         assert dag.freeze() is dag
         with pytest.raises(RuntimeError):
-            dag.hashcons(NConst(1))
+            dag.hashcons(("const", 1))
         with pytest.raises(RuntimeError):
-            dag.hashcons(NVar("i1"))
+            dag.hashcons(("var", "i1"))
         with pytest.raises(RuntimeError):
             DagBuilder().variable("i1")(dag._ids)
-        assert dag.items() == [(0, NVar("i1"))]
+        assert dag.items() == [(0, ("var", "i1"))]
 
     def test_frozen_dag_rejects_a_let_term_it_already_built(self):
         b = DagBuilder()
@@ -204,19 +193,19 @@ class TestBuildDag:
     def test_mul8_adds_one_node(self):
         root, dag = build_dag(lambda b: mul(b, 8, b.variable("i1")))
         assert root == 3
-        assert dag.items() == MUL4_ITEMS + [(3, NAdd(2, 2))]
+        assert dag.items() == MUL4_ITEMS + [(3, ("add", 2, 2))]
 
     def test_mul_shared_15_finds_the_undeclared_sharing(self):
         root, dag = build_dag(lambda b: mul_shared(b, 15, b.variable("i")))
         assert root == 6
         assert dag.items() == [
-            (0, NVar("i")),
-            (1, NAdd(0, 0)),
-            (2, NAdd(1, 1)),
-            (3, NAdd(2, 2)),
-            (4, NAdd(2, 3)),
-            (5, NAdd(1, 4)),
-            (6, NAdd(0, 5)),
+            (0, ("var", "i")),
+            (1, ("add", 0, 0)),
+            (2, ("add", 1, 1)),
+            (3, ("add", 2, 2)),
+            (4, ("add", 2, 3)),
+            (5, ("add", 1, 4)),
+            (6, ("add", 0, 5)),
         ]
 
     def test_explicit_sharing_builds_the_identical_dag(self):
@@ -227,7 +216,7 @@ class TestBuildDag:
 
     def test_constants_are_consed_like_any_node(self):
         root, dag = build_dag(lambda b: b.add(b.constant(5), b.constant(5)))
-        assert dag.items() == [(0, NConst(5)), (1, NAdd(0, 0))]
+        assert dag.items() == [(0, ("const", 5)), (1, ("add", 0, 0))]
         assert root == 1
 
     def test_dag_equality_is_by_association_list(self):
@@ -245,14 +234,14 @@ class TestBuildForest:
         )
         assert roots == [0, 2, 4, 7]
         assert dag.items() == [
-            (0, NVar("1")),
-            (1, NVar("2")),
-            (2, NAdd(0, 1)),
-            (3, NVar("3")),
-            (4, NAdd(2, 3)),
-            (5, NVar("4")),
-            (6, NAdd(3, 5)),
-            (7, NAdd(2, 6)),
+            (0, ("var", "1")),
+            (1, ("var", "2")),
+            (2, ("add", 0, 1)),
+            (3, ("var", "3")),
+            (4, ("add", 2, 3)),
+            (5, ("var", "4")),
+            (6, ("add", 3, 5)),
+            (7, ("add", 2, 6)),
         ]
 
     def test_empty_forest(self):
@@ -343,7 +332,7 @@ class TestDisplay:
 
     def test_node_display_forms(self):
         dag = Dag()
-        for node in [NConst(10), NVar("i1"), NAdd(0, 1), NNeg(2), NSub(0, 1), NConst(-3)]:
+        for node in [("const", 10), ("var", "i1"), ("add", 0, 1), ("neg", 2), ("sub", 0, 1), ("const", -3)]:
             dag.hashcons(node)
         assert format_dag(5, dag) == (
             '(5,DAG BiMap[(0,NConst 10),(1,NVar "i1"),(2,NAdd 0 1),'
@@ -359,7 +348,7 @@ class TestDisplay:
 
 def test_dag_node_accessor_validates_ids():
     _, dag = build_dag(exp_mul4)
-    assert dag.node(0) == NVar("i1")
+    assert dag.node(0) == ("var", "i1")
     for node_id in (3, True, 1.0):
         with pytest.raises(KeyError):
             dag.node(node_id)
@@ -388,7 +377,7 @@ def test_a_let_term_run_on_two_dags_in_turn_keeps_each_dags_ids():
     b = helpers.CountingBuilder()
     term = b.let_(b.variable("x"), lambda x: b.add(x, b.constant(1)))
     first, second = Dag(), Dag()
-    second.hashcons(NVar("y"))
+    second.hashcons(("var", "y"))
     assert term(first._ids) == term(first._ids) == 2
     assert b.bodies_run == 1
     items = first.items()

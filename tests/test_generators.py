@@ -4,8 +4,10 @@ import gc
 import operator
 import weakref
 
+import pytest
+
 from exprdag.builders import TreeBuilder, lower_to_tree
-from exprdag.dag import NAdd, NConst, NVar, build_dag, build_forest
+from exprdag.dag import build_dag, build_forest
 from exprdag.generators import mul, mul_shared, sklansky, sklansky_shared
 from exprdag.interp import evaluate, print_let, size
 
@@ -15,14 +17,14 @@ import helpers
 class TestMul:
     def test_mul4_duplicates_the_doubled_operand(self):
         tree = lower_to_tree(lambda b: mul(b, 4, b.variable("i1")))
-        doubled = NAdd(NVar("i1"), NVar("i1"))
-        assert tree == NAdd(doubled, doubled)
+        doubled = ("add", ("var", "i1"), ("var", "i1"))
+        assert tree == ("add", doubled, doubled)
 
     def test_zero_is_the_zero_constant(self):
-        assert lower_to_tree(lambda b: mul(b, 0, b.variable("x"))) == NConst(0)
+        assert lower_to_tree(lambda b: mul(b, 0, b.variable("x"))) == ("const", 0)
 
     def test_one_is_the_operand_itself(self):
-        assert lower_to_tree(lambda b: mul(b, 1, b.variable("x"))) == NVar("x")
+        assert lower_to_tree(lambda b: mul(b, 1, b.variable("x"))) == ("var", "x")
 
     def test_negative_multiplier_negates(self):
         tree = lower_to_tree(lambda b: mul(b, -3, b.variable("x")))
@@ -37,6 +39,14 @@ class TestMul:
     def test_tree_size_is_exponential_in_the_doubling_count(self):
         for k in (0, 1, 4, 10, 16):
             assert size(lambda b, k=k: mul(b, 2**k, b.variable("v"))) == 2 ** (k + 1) - 1
+
+
+@pytest.mark.parametrize("generator", [mul, mul_shared])
+@pytest.mark.parametrize("n", [0.5, 2.5, True, 3.0, "4"])
+def test_a_multiplier_that_is_not_an_int_is_a_type_error(generator, n):
+    expected = f"multiplier must be an int, not {type(n).__name__}"
+    with pytest.raises(TypeError, match=expected):
+        evaluate(lambda b: generator(b, n, b.variable("x")), {"x": 5})
 
 
 class TestMulShared:
@@ -72,9 +82,10 @@ class TestMulShared:
 
 class TestSklansky:
     def test_bracketed_rendering_of_four_inputs(self):
-        v1, v2, v3, v4 = (NVar(f"v{i}") for i in range(1, 5))
+        v1, v2, v3, v4 = (("var", f"v{i}") for i in range(1, 5))
         rendered = sklansky(TreeBuilder().add, [v1, v2, v3, v4])
-        expected = [v1, NAdd(v1, v2), NAdd(NAdd(v1, v2), v3), NAdd(NAdd(v1, v2), NAdd(v3, v4))]
+        v12 = ("add", v1, v2)
+        expected = [v1, v12, ("add", v12, v3), ("add", v12, ("add", v3, v4))]
         assert rendered == expected
 
     def test_empty_input(self):
@@ -157,7 +168,7 @@ class TestSklanskyShared:
     def test_two_inputs(self):
         roots, dag = build_forest(lambda b: sklansky_shared(b, [b.variable("v1"), b.variable("v2")]))
         assert roots == [0, 2]
-        assert dag.items() == [(0, NVar("v1")), (1, NVar("v2")), (2, NAdd(0, 1))]
+        assert dag.items() == [(0, ("var", "v1")), (1, ("var", "v2")), (2, ("add", 0, 1))]
 
     def test_matches_unshared_forest_for_many_widths(self):
         for n in range(0, 18):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from exprdag.dag import Dag, NConst, build_dag, build_forest
+from exprdag.dag import Dag, build_dag, build_forest
 from exprdag.generators import mul, sklansky, sklansky_shared
 from exprdag.interp import UnboundVariableError, evaluate
 from exprdag.netlist import emit_netlist, emit_threeaddr, eval_dag
@@ -20,7 +20,7 @@ def sklansky4(b):
 
 def const_dag(value):
     dag = Dag()
-    root = dag.hashcons(NConst(value))
+    root = dag.hashcons(("const", value))
     return root, dag.freeze()
 
 

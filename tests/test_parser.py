@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exprdag.builders import FullBuilder, lower_to_tree
-from exprdag.dag import DagBuilder, NAdd, NConst, NNeg, NSub, NVar, build_dag
+from exprdag.dag import DagBuilder, build_dag
 from exprdag.interp import evaluate, print_let, size
 from exprdag.parser import ParseError, elaborate, parse
 
@@ -22,29 +22,29 @@ import helpers
 class TestParse:
     def test_let_form(self):
         got = parse("let y = i1 + i1 in y + y")
-        bound = NAdd(NVar("i1"), NVar("i1"))
-        assert got == ("let", "y", bound, NAdd(NVar("y"), NVar("y")))
+        bound = ("add", ("var", "i1"), ("var", "i1"))
+        assert got == ("let", "y", bound, ("add", ("var", "y"), ("var", "y")))
 
     def test_two_leaf_add(self):
-        assert parse("10 + i1") == NAdd(NConst(10), NVar("i1"))
+        assert parse("10 + i1") == ("add", ("const", 10), ("var", "i1"))
 
     def test_plus_minus_are_left_associative(self):
-        assert parse("a - b + c") == NAdd(NSub(NVar("a"), NVar("b")), NVar("c"))
+        assert parse("a - b + c") == ("add", ("sub", ("var", "a"), ("var", "b")), ("var", "c"))
         # the parser and TreeBuilder build one tree shape
         built = lambda b: b.add(b.sub(b.variable("a"), b.variable("b")), b.variable("c"))
         assert parse("a - b + c") == lower_to_tree(built)
 
     def test_parens_override_grouping(self):
-        assert parse("a - (b + c)") == NSub(NVar("a"), NAdd(NVar("b"), NVar("c")))
+        assert parse("a - (b + c)") == ("sub", ("var", "a"), ("add", ("var", "b"), ("var", "c")))
 
     def test_unary_minus_binds_to_the_next_term(self):
-        assert parse("-x + y") == NAdd(NNeg(NVar("x")), NVar("y"))
-        assert parse("x - -y") == NSub(NVar("x"), NNeg(NVar("y")))
+        assert parse("-x + y") == ("add", ("neg", ("var", "x")), ("var", "y"))
+        assert parse("x - -y") == ("sub", ("var", "x"), ("neg", ("var", "y")))
 
     def test_let_body_extends_as_far_right_as_possible(self):
         got = parse("let t = 1 in t + t + 2")
-        body = NAdd(NAdd(NVar("t"), NVar("t")), NConst(2))
-        assert got == ("let", "t", NConst(1), body)
+        body = ("add", ("add", ("var", "t"), ("var", "t")), ("const", 2))
+        assert got == ("let", "t", ("const", 1), body)
 
     def test_let_missing_name_is_a_syntax_error(self):
         with pytest.raises(ParseError):
@@ -153,7 +153,7 @@ class TestElaborate:
         ast = parse("let y = i1 + i1 in y + y")
         root, dag = build_dag(helpers.program_of(ast))
         assert root == 2
-        assert dag.items() == [(0, NVar("i1")), (1, NAdd(0, 0)), (2, NAdd(1, 1))]
+        assert dag.items() == [(0, ("var", "i1")), (1, ("add", 0, 0)), (2, ("add", 1, 1))]
 
     def test_free_names_become_variables(self):
         ast = parse("10 + i1")
@@ -165,7 +165,7 @@ class TestElaborate:
 
     def test_negated_literal_folds_to_a_negative_constant(self):
         ast = parse("-5")
-        assert lower_to_tree(helpers.program_of(ast)) == NConst(-5)
+        assert lower_to_tree(helpers.program_of(ast)) == ("const", -5)
 
     def test_double_negation_still_negates(self):
         ast = parse("--5")
@@ -182,14 +182,14 @@ class TestElaborate:
         forced = elaborate(parse("let a = x in let b = a + 1 in b - a"), DeferredTwice())()
 
         def inner(a):
-            b = NAdd(a, NConst(1))
-            return NAdd(NSub(b, a), NSub(NNeg(b), a))
+            b = ("add", a, ("const", 1))
+            return ("add", ("sub", b, a), ("sub", ("neg", b), a))
 
-        assert forced == NAdd(inner(NVar("x")), inner(NNeg(NVar("x"))))
+        assert forced == ("add", inner(("var", "x")), inner(("neg", ("var", "x"))))
 
     def test_a_let_bound_reads_the_free_name_it_binds(self):
         ast = parse("let x = x + 1 in x")
-        assert lower_to_tree(helpers.program_of(ast)) == NAdd(NVar("x"), NConst(1))
+        assert lower_to_tree(helpers.program_of(ast)) == ("add", ("var", "x"), ("const", 1))
         assert evaluate(helpers.program_of(ast), {"x": 5}) == 6
 
     def test_a_use_walks_past_frames_of_other_names(self):
@@ -198,7 +198,7 @@ class TestElaborate:
 
     @pytest.mark.parametrize(
         "ast",
-        ["oops", 5, None, object(), ("mul", NConst(1), NConst(2))],
+        ["oops", 5, None, object(), ("mul", ("const", 1), ("const", 2))],
         ids=["str", "int", "None", "object", "unknown-tag"],
     )
     def test_a_non_tree_is_a_type_error(self, ast):
@@ -206,7 +206,7 @@ class TestElaborate:
             elaborate(ast, DagBuilder())
 
     def test_a_non_tree_node_in_a_let_body_fails_when_the_body_runs(self):
-        ast = ("let", "t", NConst(1), NAdd(NVar("t"), "oops"))
+        ast = ("let", "t", ("const", 1), ("add", ("var", "t"), "oops"))
         deferred = elaborate(ast, DeferredTwice())
         with pytest.raises(TypeError, match="not an expression tree: 'oops'"):
             deferred()
@@ -219,34 +219,34 @@ class DeferredTwice(FullBuilder):
     the bound term and once on its negation, and forces the second run first."""
 
     def constant(self, value):
-        return lambda: NConst(value)
+        return lambda: ("const", value)
 
     def variable(self, name):
-        return lambda: NVar(name)
+        return lambda: ("var", name)
 
     def add(self, left, right):
-        return lambda: NAdd(left(), right())
+        return lambda: ("add", left(), right())
 
     def neg(self, operand):
-        return lambda: NNeg(operand())
+        return lambda: ("neg", operand())
 
     def sub(self, left, right):
-        return lambda: NSub(left(), right())
+        return lambda: ("sub", left(), right())
 
     def let_(self, bound, body):
         def force():
-            second = body(lambda: NNeg(bound()))()
-            return NAdd(body(bound)(), second)
+            second = body(lambda: ("neg", bound()))()
+            return ("add", body(bound)(), second)
 
         return force
 
 
 def let_chain(k):
     """let a0 = x in let a1 = a0 + 1 in ... in a{k-1}, built bottom-up."""
-    tree = NVar(f"a{k - 1}")
+    tree = ("var", f"a{k - 1}")
     for i in range(k - 1, 0, -1):
-        tree = ("let", f"a{i}", NAdd(NVar(f"a{i - 1}"), NConst(1)), tree)
-    return ("let", "a0", NVar("x"), tree)
+        tree = ("let", f"a{i}", ("add", ("var", f"a{i - 1}"), ("const", 1)), tree)
+    return ("let", "a0", ("var", "x"), tree)
 
 
 def run_deep(fn):

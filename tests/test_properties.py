@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exprdag.builders import lower_to_tree
-from exprdag.dag import Dag, NAdd, NConst, NNeg, NSub, NVar, build_dag, build_forest
+from exprdag.dag import Dag, build_dag, build_forest
 from exprdag.generators import mul, mul_shared, sklansky, sklansky_shared
 from exprdag.interp import evaluate, print_flat, print_let, size
 from exprdag.netlist import emit_netlist, emit_threeaddr, eval_dag
@@ -28,17 +28,17 @@ wide_ints = st.one_of(
 
 def leaves():
     return st.one_of(
-        st.one_of(st.integers(-50, 50), wide_ints).map(NConst),
-        st.sampled_from(NAMES).map(NVar),
+        st.one_of(st.integers(-50, 50), wide_ints).map(lambda value: ("const", value)),
+        st.sampled_from(NAMES).map(lambda name: ("var", name)),
     )
 
 
 def asts(with_neg_sub=True, with_let=True):
     def extend(inner):
-        options = [st.builds(NAdd, inner, inner)]
+        options = [st.tuples(st.just("add"), inner, inner)]
         if with_neg_sub:
-            options.append(st.builds(NSub, inner, inner))
-            options.append(st.builds(NNeg, inner))
+            options.append(st.tuples(st.just("sub"), inner, inner))
+            options.append(st.tuples(st.just("neg"), inner))
         if with_let:
             let = st.tuples(st.just("let"), st.sampled_from(helpers.LET_NAMES), inner, inner)
             options.append(let)
