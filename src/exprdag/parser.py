@@ -17,7 +17,13 @@ scanning again to the failing token's offset.
 
 ``elaborate`` dispatches on a tree node's tag and links a (name, term,
 parent) scope frame per let, not a copy, so it is linear in let depth; a
-name no let has bound skips the chain walk.
+name no let has bound skips the chain walk. On an exact DagBuilder it skips
+the builder's terms: it returns one term that walks the tree when it runs
+and conses each node straight into the node table, one frame per tree
+level. DagBuilder defers every term so that a host alias is built again,
+as the paper's cost claim needs; a tree has no host aliases, since each
+subtree occurs once and shares only through its lets, so the deferral buys
+nothing there.
 """
 
 from __future__ import annotations
@@ -25,13 +31,15 @@ from __future__ import annotations
 import re
 from functools import partial
 
-from .builders import FullBuilder
+from .builders import FullBuilder, require_int, require_name
+from .dag import DagBuilder
 
 # ASCII only: \d, \w and \s would also admit other Unicode digits, letters
 # and spaces.
 _BAD_CHAR = re.compile(r"[^ \t\r\nA-Za-z0-9_+\-()=]")
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+()=]")
 _RESERVED = ("let", "in")
+_TAGS = ("add", "var", "sub", "const", "let", "neg")
 
 
 class ParseError(ValueError):
@@ -156,7 +164,7 @@ class _Elaborator:
             return self.builder.let_(bound, partial(self.let_body, ast, scope))
         if kind == "neg":
             operand = ast[1]
-            if type(operand) is tuple and operand[0] == "const":
+            if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
                 return self.builder.constant(-operand[1])
             return self.builder.neg(self.elab(operand, scope))
         raise TypeError(f"not an expression tree: {ast!r}")
@@ -164,6 +172,44 @@ class _Elaborator:
     def let_body(self, ast, scope, term):
         """The body of the let node ``ast``, with its name bound to ``term``."""
         return self.elab(ast[3], (ast[1], term, scope))
+
+
+def _cons(ids, names, ast, scope):
+    """elaborate's walk for an exact DagBuilder: cons the tree ``ast`` into
+    the node table ``ids`` and return its id. ``scope`` and ``names`` are
+    _Elaborator's scope chain and bound-name set, the chain holding node ids
+    where _Elaborator's holds terms. Nodes are consed in the order its terms
+    would cons them: a node after its children, left to right, and a let's
+    bound before its body."""
+    kind = ast[0] if type(ast) is tuple else None
+    if kind == "add":
+        return ids["add", _cons(ids, names, ast[1], scope), _cons(ids, names, ast[2], scope)]
+    if kind == "var":
+        name = ast[1]
+        if name in names:
+            while scope is not None:
+                if scope[0] == name:
+                    return scope[1]
+                scope = scope[2]
+        if type(name) is not str or not name:
+            require_name(name)
+        return ids["var", name]
+    if kind == "sub":
+        return ids["sub", _cons(ids, names, ast[1], scope), _cons(ids, names, ast[2], scope)]
+    if kind == "const":
+        if type(ast[1]) is not int:
+            require_int(ast[1])
+        return ids["const", ast[1]]
+    if kind == "let":
+        bound = _cons(ids, names, ast[2], scope)
+        names.add(ast[1])
+        return _cons(ids, names, ast[3], (ast[1], bound, scope))
+    if kind == "neg":
+        operand = ast[1]
+        if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
+            return ids["const", -operand[1]]
+        return ids["neg", _cons(ids, names, operand, scope)]
+    raise TypeError(f"not an expression tree: {ast!r}")
 
 
 def elaborate(ast: tuple, builder: FullBuilder):
@@ -176,5 +222,15 @@ def elaborate(ast: tuple, builder: FullBuilder):
 
     A non-tuple or an unknown tag is a TypeError. Arity is not checked: a
     tuple too short for its tag is an IndexError, and extra items are ignored.
+
+    For a builder whose type is exactly DagBuilder, the result is one term
+    that conses the whole tree into the node table when it runs, building
+    the same nodes in the same order as the builder's own terms would. Only
+    the root is checked here; a bad node below it raises when the term runs,
+    inside build_dag. A DagBuilder subclass gets the builder's terms.
     """
+    if type(builder) is DagBuilder:
+        if type(ast) is not tuple or ast[0] not in _TAGS:
+            raise TypeError(f"not an expression tree: {ast!r}")
+        return lambda ids: _cons(ids, set(), ast, None)
     return _Elaborator(builder).elab(ast, None)

@@ -199,14 +199,19 @@ class CountingBuilder(DagBuilder):
         return counted_run
 
 
-def counted_forest(program):
-    """Build a forest program's terms, in order, with a CountingBuilder into a
-    fresh Dag whose node table counts; return that Dag unfrozen, its table and
-    the builder."""
+class ClosureDagBuilder(DagBuilder):
+    """A DagBuilder that is not exactly one, so that elaborate hands it the
+    builder's deferred terms instead of its direct walk."""
+
+
+def counted_forest(program, builder=None):
+    """Build a forest program's terms, in order, with ``builder`` (a new
+    CountingBuilder by default) into a fresh Dag whose node table counts;
+    return that Dag unfrozen, its table and the builder."""
     dag = Dag()
     table = dag._ids = CountingTable()
     table.nodes = dag._nodes
-    builder = CountingBuilder()
+    builder = CountingBuilder() if builder is None else builder
     for term in program(builder):
         term(table)
     return dag, table, builder

@@ -205,6 +205,17 @@ class TestElaborate:
         with pytest.raises(TypeError, match="not an expression tree"):
             elaborate(ast, DagBuilder())
 
+    @pytest.mark.parametrize("value", [True, "x", 1.5], ids=["bool", "str", "float"])
+    @pytest.mark.parametrize(
+        "run",
+        [build_dag, lambda program: evaluate(program, {})],
+        ids=["build_dag", "evaluate"],
+    )
+    def test_a_negated_non_int_constant_is_not_folded(self, run, value):
+        ast = ("neg", ("const", value))
+        with pytest.raises(TypeError, match=f"constant must be an int, not {type(value).__name__}"):
+            run(helpers.program_of(ast))
+
     def test_a_non_tree_node_in_a_let_body_fails_when_the_body_runs(self):
         ast = ("let", "t", ("const", 1), ("add", ("var", "t"), "oops"))
         deferred = elaborate(ast, DeferredTwice())
@@ -249,9 +260,19 @@ def let_chain(k):
     return ("let", "a0", ("var", "x"), tree)
 
 
-def run_deep(fn):
+def sum_chain(k):
+    """x0 + x1 + ... + x{k-1}, nested to the left as parse nests it."""
+    tree = ("var", "x0")
+    for i in range(1, k):
+        tree = ("add", tree, ("var", f"x{i}"))
+    return tree
+
+
+def run_deep(fn, limit=100_000, stack=256 * 1024 * 1024):
     """Run fn on a worker thread with a big stack and a raised recursion
-    limit, restoring both; return its result or raise its exception."""
+    limit, restoring both; return its result or raise its exception. A
+    thread starts with an empty stack, so ``limit`` counts fn's frames
+    alone, give or take the thread's own few."""
     result = {}
 
     def target():
@@ -261,9 +282,9 @@ def run_deep(fn):
             result["error"] = exc
 
     old_limit, old_stack = sys.getrecursionlimit(), threading.stack_size()
-    sys.setrecursionlimit(100_000)
+    sys.setrecursionlimit(limit)
     try:
-        threading.stack_size(256 * 1024 * 1024)
+        threading.stack_size(stack)
         worker = threading.Thread(target=target)
         worker.start()
         worker.join(timeout=120)
@@ -297,6 +318,41 @@ def test_elaboration_memory_is_linear_in_let_depth(interpret):
 
     small, large = run_deep(lambda: (peak(500), peak(1000)))
     assert large / small < 2.6, (small, large)
+
+
+class TestDirectWalk:
+    """elaborate on an exact DagBuilder: one term that conses the tree."""
+
+    def test_a_build_enters_a_frame_per_tree_node_and_per_new_node(self):
+        text = "let a0 = x + 1 in "
+        text += "".join(f"let a{i} = a{i - 1} + a{i - 1} - (y - {i}) in " for i in range(1, 200))
+        tree = parse(text + "-a199 + x")
+        (_, dag), calls = helpers.python_calls(lambda: build_dag(lambda b: elaborate(tree, b)))
+        # 1,600 tree nodes (200 lets, 600 operators and 800 leaves) and 801
+        # new nodes: the walk enters 2,412 frames, the builder's terms 5,413.
+        assert len(dag) == 801
+        assert calls <= 1_600 + 801 + 16
+
+    @pytest.mark.parametrize(
+        "tree, nodes", [(let_chain(950), 951), (sum_chain(950), 1_899)], ids=["let-chain", "sum"]
+    )
+    def test_build_dag_takes_950_levels_at_the_default_recursion_limit(self, tree, nodes):
+        # one frame per tree level, as for the builder's terms
+        _, dag = run_deep(lambda: build_dag(lambda b: elaborate(tree, b)), limit=1_000, stack=0)
+        assert len(dag) == nodes
+
+    def test_a_bad_node_below_the_root_fails_when_the_term_runs(self):
+        ast = ("add", ("var", "x"), "oops")
+        term = elaborate(ast, DagBuilder())
+        with pytest.raises(TypeError, match="not an expression tree: 'oops'"):
+            build_dag(lambda b: term)
+        with pytest.raises(TypeError, match="not an expression tree: 'oops'"):
+            elaborate(ast, helpers.ClosureDagBuilder())
+
+    def test_a_dag_builder_subclass_gets_the_builder_terms(self):
+        builder = helpers.CountingBuilder()
+        build_dag(lambda b: elaborate(parse("let t = x + 1 in t + t"), builder))
+        assert builder.lets == builder.let_runs == 1
 
 
 class TestRoundTrip:

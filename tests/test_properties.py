@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exprdag.builders import lower_to_tree
-from exprdag.dag import Dag, build_dag, build_forest
+from exprdag.dag import Dag, DagBuilder, build_dag, build_forest
 from exprdag.generators import mul, mul_shared, sklansky, sklansky_shared
 from exprdag.interp import evaluate, print_flat, print_let, size
 from exprdag.netlist import emit_netlist, emit_threeaddr, eval_dag
-from exprdag.parser import parse
+from exprdag.parser import elaborate, parse
 
 import helpers
 
@@ -122,6 +122,24 @@ def test_a_build_looks_up_the_table_once_per_constructor(ast):
     assert table.calls == size(program)
     assert table.misses == len(dag)
     assert dag.freeze() == build_dag(program)[1]
+
+
+@given(asts())
+def test_the_direct_walk_looks_up_the_table_once_per_constructor(ast):
+    # The same law on an exact DagBuilder, whose elaborate term conses the
+    # tree itself and makes no let terms.
+    program = helpers.program_of(ast)
+    dag, table, _ = helpers.counted_forest(lambda b: [program(b)], DagBuilder())
+    assert table.calls == size(program)
+    assert table.misses == len(dag)
+
+
+@given(asts())
+def test_the_direct_walk_builds_what_the_builder_terms_build(ast):
+    direct_roots, direct = build_forest(lambda b: [elaborate(ast, b)])
+    roots, dag = build_forest(lambda b: [elaborate(ast, helpers.ClosureDagBuilder())])
+    assert direct_roots == roots
+    assert direct.items() == dag.items()
 
 
 @given(asts(with_let=False))
