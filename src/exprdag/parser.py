@@ -9,21 +9,24 @@ Grammar, with '+' and '-' on one left-associative level::
 'let'/'in' are reserved; a let body extends as far right as possible.
 
 ``parse`` scans, then descends. One regex search rejects the first character
-outside the ASCII alphabet of the grammar, and one ``re.findall`` splits the
-text into token strings, with ``""`` as the end marker. Recursive descent
-walks that list by index and compares strings; no token carries a position.
-A ``ParseError``'s line and column are computed only when it is raised, by
-scanning again to the failing token's offset.
+outside the ASCII alphabet of the grammar, and ``str.split`` cuts the text,
+its operators and parentheses padded with spaces, into token strings, with
+``""`` as the end marker. Recursive descent walks that list by index and
+compares strings; no token carries a position. ``split`` keeps a digit-led
+word such as ``1in`` whole, which ``_TOKEN`` cuts; such a word never
+parses, so a failing parse retries with ``_TOKEN``'s list if that differs. A
+``ParseError``'s line and column are computed only when it is raised, by
+scanning again with ``_TOKEN`` to the failing token's offset.
 
 ``elaborate`` dispatches on a tree node's tag and links a (name, term,
 parent) scope frame per let, not a copy, so it is linear in let depth; a
 name no let has bound skips the chain walk. On an exact DagBuilder it skips
 the builder's terms: it returns one term that walks the tree when it runs
 and conses each node straight into the node table, one frame per tree
-level. DagBuilder defers every term so that a host alias is built again,
-as the paper's cost claim needs; a tree has no host aliases, since each
-subtree occurs once and shares only through its lets, so the deferral buys
-nothing there.
+level, with one dict as its scope. DagBuilder defers every term so that a
+host alias is built again, as the paper's cost claim needs; a tree has no
+host aliases, since each subtree occurs once and shares only through its
+lets, so the deferral buys nothing there.
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ def parse(text: str) -> tuple:
     bad = _BAD_CHAR.search(text)
     if bad:
         raise _error_at(text, bad.start(), f"unexpected character {bad.group()!r}")
-    tokens = _TOKEN.findall(text) + [""]
-    pos = 0
+    pad = text.replace("(", " ( ").replace(")", " ) ").replace("+", " + ")
+    tokens = pad.replace("-", " - ").replace("=", " = ").split() + [""]
 
     def fail(index: int, message: str) -> ParseError:
         starts = [match.start() for match in _TOKEN.finditer(text)]
@@ -123,9 +126,17 @@ def parse(text: str) -> tuple:
         raise fail(pos - 1, f"expected an expression, found {_describe(token)}")
 
     try:
-        node = expr()
-        expect("", "end of input")
-        return node
+        while True:
+            pos = 0
+            try:
+                node = expr()
+                expect("", "end of input")
+                return node
+            except ParseError:  # split() keeps a digit-led word such as 1in whole
+                retry = _TOKEN.findall(text) + [""]
+                if retry == tokens:
+                    raise
+                tokens = retry
     finally:  # the closures name each other through cells: break that cycle
         fail = expect = expr = term = None
 
@@ -174,41 +185,45 @@ class _Elaborator:
         return self.elab(ast[3], (ast[1], term, scope))
 
 
-def _cons(ids, names, ast, scope):
+def _cons(ids, scope, ast):
     """elaborate's walk for an exact DagBuilder: cons the tree ``ast`` into
-    the node table ``ids`` and return its id. ``scope`` and ``names`` are
-    _Elaborator's scope chain and bound-name set, the chain holding node ids
-    where _Elaborator's holds terms. Nodes are consed in the order its terms
-    would cons them: a node after its children, left to right, and a let's
-    bound before its body."""
+    the node table ``ids`` and return its id. ``scope`` maps each let-bound
+    name in reach to its node id. A let runs its body once, at once, so it
+    saves the binding it shadows and restores it after, where _Elaborator
+    keeps a persistent chain. Nodes are consed in the order its terms would
+    cons them: after their children, left to right, and a let's bound first."""
     kind = ast[0] if type(ast) is tuple else None
     if kind == "add":
-        return ids["add", _cons(ids, names, ast[1], scope), _cons(ids, names, ast[2], scope)]
+        return ids["add", _cons(ids, scope, ast[1]), _cons(ids, scope, ast[2])]
     if kind == "var":
         name = ast[1]
-        if name in names:
-            while scope is not None:
-                if scope[0] == name:
-                    return scope[1]
-                scope = scope[2]
+        if name in scope:
+            return scope[name]
         if type(name) is not str or not name:
             require_name(name)
         return ids["var", name]
     if kind == "sub":
-        return ids["sub", _cons(ids, names, ast[1], scope), _cons(ids, names, ast[2], scope)]
+        return ids["sub", _cons(ids, scope, ast[1]), _cons(ids, scope, ast[2])]
     if kind == "const":
         if type(ast[1]) is not int:
             require_int(ast[1])
         return ids["const", ast[1]]
     if kind == "let":
-        bound = _cons(ids, names, ast[2], scope)
-        names.add(ast[1])
-        return _cons(ids, names, ast[3], (ast[1], bound, scope))
+        name = ast[1]
+        bound = _cons(ids, scope, ast[2])
+        outer = scope.get(name, scope)  # the scope itself marks an unbound name
+        scope[name] = bound
+        node = _cons(ids, scope, ast[3])
+        if outer is scope:
+            del scope[name]
+        else:
+            scope[name] = outer
+        return node
     if kind == "neg":
         operand = ast[1]
         if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
             return ids["const", -operand[1]]
-        return ids["neg", _cons(ids, names, operand, scope)]
+        return ids["neg", _cons(ids, scope, operand)]
     raise TypeError(f"not an expression tree: {ast!r}")
 
 
@@ -232,5 +247,5 @@ def elaborate(ast: tuple, builder: FullBuilder):
     if type(builder) is DagBuilder:
         if type(ast) is not tuple or ast[0] not in _TAGS:
             raise TypeError(f"not an expression tree: {ast!r}")
-        return lambda ids: _cons(ids, set(), ast, None)
+        return lambda ids: _cons(ids, {}, ast)
     return _Elaborator(builder).elab(ast, None)

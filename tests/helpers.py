@@ -238,6 +238,11 @@ def python_calls(run):
 # Free names stay clear of the v<digits> pattern the let renderer generates.
 FREE_NAMES = ("x", "y", "z", "i1", "i2")
 LET_NAMES = ("t0", "t1", "t2", "t3", "t4", "t5")
+# Pieces of text near the grammar, two of them characters the scanner rejects.
+GRAMMAR_ATOMS = (
+    ("let", "in", "=", "+", "-", "(", ")", " ", "\t", "\n", "\r\n", "x", "t1", "0", "42")
+    + ("$", "\u00e9")
+)
 
 
 def random_ast(rng: random.Random, max_depth: int, scope=()):

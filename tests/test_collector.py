@@ -85,8 +85,12 @@ def test_a_forest_build_leaves_no_cyclic_garbage(collector):
 
 @pytest.mark.parametrize(
     "text, error",
-    [("let a = x + 1 in -a - (a + 2)", None), ("let a = in a", ParseError)],
-    ids=["program", "syntax-error"],
+    [
+        ("let a = x + 1 in -a - (a + 2)", None),
+        ("let a = in a", ParseError),
+        ("x 1in", ParseError),  # fails on str.split's tokens, then on _TOKEN's
+    ],
+    ids=["program", "syntax-error", "retried-syntax-error"],
 )
 def test_a_parse_leaves_no_cyclic_garbage(collector, text, error):
     gc.collect()

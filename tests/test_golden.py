@@ -6,8 +6,11 @@ each also evaluated and printed fully let-annotated, and printed inside a
 let term that aliases it), ``mul``/``mul_shared`` and
 ``sklansky``/``sklansky_shared`` forests. ``eval_dag_wide`` evaluates every
 root again under ``WIDE``, whose values sit near -2**63 and 2**63 and past
-2**64, so that sums and negations wrap. A refactor that is meant to keep
-behaviour must keep every digest; a failure names each kind that moved.
+2**64, so that sums and negations wrap. ``parse`` records the tree or the
+error for seeded strings near the grammar, some with a digit-led word such
+as ``1in`` or a literal too long to convert. A refactor that is meant to
+keep behaviour must keep every digest; a failure names each kind that
+moved.
 """
 
 import hashlib
@@ -17,6 +20,7 @@ from exprdag.dag import build_dag, build_forest, format_dag
 from exprdag.generators import mul, mul_shared, sklansky, sklansky_shared
 from exprdag.interp import evaluate, print_flat, print_let, size
 from exprdag.netlist import emit_netlist, emit_threeaddr, eval_dag
+from exprdag.parser import parse
 
 import helpers
 
@@ -32,6 +36,7 @@ GOLDEN = {
     "print_flat": "9b4ec23b6c79fa245082ca805f83c770",
     "print_let_shared": "da92e550a8e75e32ab8eb166fe75280e",
     "print_let_aliased": "4924b548570b45438e9d2cfd7356ce3c",
+    "parse": "b0c09e2f359db2e5a6e22434b3debb58",
 }
 
 #: A binding for every variable of the sweep, drawn from no rng so that the
@@ -40,6 +45,9 @@ WIDE = {
     name: (2**63 - 1 - k, -(2**63) + k, 2**64 + 3 * k, -(2**70) - k)[k % 4]
     for k, name in enumerate(helpers.FREE_NAMES + ("i",) + tuple(f"x{i}" for i in range(32)))
 }
+
+#: The pieces of the ``parse`` sweep's strings.
+PARSE_ATOMS = helpers.GRAMMAR_ATOMS + ("1in", "0x", "_a", "7" * 5000)
 
 
 def outcome(run):
@@ -96,6 +104,10 @@ def digests():
         xs = lambda b: [b.variable(f"x{i}") for i in range(n)]
         record_forest(out, lambda b: sklansky(b.add, xs(b)), env)
         record_forest(out, lambda b: sklansky_shared(b, xs(b)), env)
+    rng = random.Random(2121)
+    for _ in range(20_000):
+        text = "".join(rng.choices(PARSE_ATOMS, k=rng.randint(0, 25)))
+        out["parse"].append(outcome(lambda: parse(text)))
     return {
         kind: hashlib.md5("\n".join(lines).encode()).hexdigest() for kind, lines in out.items()
     }

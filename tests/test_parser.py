@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exprdag.builders import FullBuilder, lower_to_tree
-from exprdag.dag import DagBuilder, build_dag
+from exprdag.dag import DagBuilder, build_dag, build_forest
 from exprdag.interp import evaluate, print_let, size
 from exprdag.parser import ParseError, elaborate, parse
 
@@ -120,15 +120,30 @@ class TestParse:
     def test_whitespace_and_newlines_are_insignificant(self):
         assert parse("let y = 1\n  in y") == parse("let y = 1 in y")
 
+    def test_a_digit_led_word_is_a_literal_then_a_word(self):
+        expected = ("let", "a", ("const", 1), ("add", ("var", "a"), ("var", "a")))
+        assert parse("let a = 1in a + a") == expected
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x 1in", "1:3: expected end of input, found '1'"),
+            ("let 1x = 2 in x", "1:5: expected a name to bind, found '1'"),
+        ],
+    )
+    def test_an_error_at_a_digit_led_word_names_its_digits(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+    def test_an_overlong_literal_before_a_digit_led_word_is_named(self):
+        with pytest.raises(ParseError) as err:
+            parse("x +\n  " + "1" * 5000 + " + 0x")
+        assert str(err.value) == "2:3: integer literal of 5000 digits is too long"
+
 
 # Text near the grammar, with characters the scanner rejects.
-GRAMMAR_LIKE = st.lists(
-    st.sampled_from(
-        ["let", "in", "=", "+", "-", "(", ")", " ", "\t", "\n", "\r\n", "x", "t1", "0", "42"]
-        + ["$", "\u00e9"]
-    ),
-    max_size=25,
-).map("".join)
+GRAMMAR_LIKE = st.lists(st.sampled_from(helpers.GRAMMAR_ATOMS), max_size=25).map("".join)
 
 
 @settings(max_examples=300, deadline=None)
@@ -348,6 +363,38 @@ class TestDirectWalk:
             build_dag(lambda b: term)
         with pytest.raises(TypeError, match="not an expression tree: 'oops'"):
             elaborate(ast, helpers.ClosureDagBuilder())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(let q = 1 in q) + q",  # the name is free again after the body
+            "let x = 1 in (let x = 2 in x) + x",  # the shadowed id comes back
+            "let t = 1 in let u = 2 in let t = 3 in t + u",
+            "let x = x + 1 in x",  # the bound reads the free name
+        ],
+    )
+    def test_a_let_scopes_its_name_as_the_builder_terms_do(self, text):
+        tree = parse(text)
+        direct_root, direct = build_dag(lambda b: elaborate(tree, b))
+        root, dag = build_dag(lambda b: elaborate(tree, helpers.ClosureDagBuilder()))
+        assert direct_root == root
+        assert direct.items() == dag.items()
+
+    def test_a_term_run_twice_starts_from_an_empty_scope(self):
+        tree = parse("(let q = x in q + 1) + q")
+        term = elaborate(tree, DagBuilder())
+        roots, dag = build_forest(lambda b: [term, term])
+        closure = elaborate(tree, helpers.ClosureDagBuilder())
+        assert (roots, dag) == build_forest(lambda b: [closure, closure])
+        assert roots == [4, 4] and dag.items()[3] == (3, ("var", "q"))
+
+    def test_a_failed_walk_leaves_no_binding_behind(self):
+        bad = elaborate(("let", "q", ("const", 1), ("add", ("var", "q"), "oops")), DagBuilder())
+        with pytest.raises(TypeError, match="not an expression tree: 'oops'"):
+            build_dag(lambda b: bad)
+        root, dag = build_dag(lambda b: elaborate(parse("q + 1"), b))
+        assert dag.items() == [(0, ("var", "q")), (1, ("const", 1)), (2, ("add", 0, 1))]
+        assert root == 2
 
     def test_a_dag_builder_subclass_gets_the_builder_terms(self):
         builder = helpers.CountingBuilder()
