@@ -79,10 +79,15 @@ class FullBuilder(ABC, Generic[T]):
     @abstractmethod
     def sub(self, left: T, right: T) -> T: ...
 
-    @abstractmethod
     def let_(self, bound: T, body: Callable[[T], T]) -> T:
         """Bind ``bound`` once; every use of the argument passed to ``body``
-        refers to that single shared expression."""
+        refers to that single shared expression.
+
+        By default the body gets the bound term itself: for an interpreter
+        whose term is a value, that is the sharing. SizeBuilder, LetPrinter
+        and DagBuilder override it, because they observe sharing.
+        """
+        return body(bound)
 
 
 class TreeBuilder(FullBuilder[tuple]):
@@ -108,9 +113,6 @@ class TreeBuilder(FullBuilder[tuple]):
 
     def sub(self, left: tuple, right: tuple) -> tuple:
         return ("sub", left, right)
-
-    def let_(self, bound, body):
-        return body(bound)
 
 
 @collector_paused

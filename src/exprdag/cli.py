@@ -47,24 +47,21 @@ def _var_binding(text: str) -> tuple[str, int]:
         raise argparse.ArgumentTypeError(f"value for {name!r} {problem}") from None
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> None:
     program = _program_from(args)
     # Reversed, so that the first binding of a name is the one dict keeps.
     print(evaluate(program, dict(reversed(args.var))))
-    return 0
 
 
-def _cmd_show(args) -> int:
+def _cmd_show(args) -> None:
     print(print_let(_program_from(args)))
-    return 0
 
 
-def _cmd_size(args) -> int:
+def _cmd_size(args) -> None:
     print(size(_program_from(args)))
-    return 0
 
 
-def _cmd_compile(args) -> int:
+def _cmd_compile(args) -> None:
     program = _program_from(args)
     root, dag = build_dag(program)
     if args.format == "dag":
@@ -73,7 +70,6 @@ def _cmd_compile(args) -> int:
         sys.stdout.write(emit_netlist(dag, [root]))
     else:
         sys.stdout.write(emit_threeaddr(dag, root))
-    return 0
 
 
 def _inputs(builder, count):
@@ -90,7 +86,7 @@ _GENERATORS = {
 }
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> None:
     generator = _GENERATORS[args.gen]
 
     def program(builder):
@@ -104,7 +100,6 @@ def _cmd_bench(args) -> int:
         times_ms.append((time.perf_counter() - start) * 1000.0)
         nodes = len(dag)
     print(f"{args.gen},{args.n},{nodes},{median(times_ms):.3f}")
-    return 0
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -123,12 +118,13 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_file(p):
-        p.add_argument("file", nargs="?", default="-", help="program file, or - for stdin")
+    def program_command(name, run, help):
+        command = sub.add_parser(name, help=help)
+        command.add_argument("file", nargs="?", default="-", help="program file, or - for stdin")
+        command.set_defaults(func=run)
+        return command
 
-    p_eval = sub.add_parser("eval", help="evaluate a program")
-    add_file(p_eval)
-    p_eval.add_argument(
+    program_command("eval", _cmd_eval, "evaluate a program").add_argument(
         "--var",
         action="append",
         type=_var_binding,
@@ -136,36 +132,25 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         metavar="NAME=VALUE",
         help="bind a free variable (repeatable; first binding of a name wins)",
     )
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_show = sub.add_parser("show", help="print a program with its sharing as let bindings")
-    add_file(p_show)
-    p_show.set_defaults(func=_cmd_show)
-
-    p_size = sub.add_parser("size", help="count constructors, shared subterms once")
-    add_file(p_size)
-    p_size.set_defaults(func=_cmd_size)
-
-    p_compile = sub.add_parser("compile", help="compile to a chosen representation")
-    add_file(p_compile)
-    p_compile.add_argument(
+    program_command("show", _cmd_show, "print a program with its sharing as let bindings")
+    program_command("size", _cmd_size, "count constructors, shared subterms once")
+    program_command("compile", _cmd_compile, "compile to a chosen representation").add_argument(
         "--format",
         choices=("dag", "netlist", "threeaddr"),
         default="netlist",
         help="output representation (default: netlist)",
     )
-    p_compile.set_defaults(func=_cmd_compile)
 
-    p_bench = sub.add_parser("bench", help="time DAG construction for a generated workload")
-    p_bench.add_argument("--gen", choices=sorted(_GENERATORS), required=True)
-    p_bench.add_argument(
+    bench = sub.add_parser("bench", help="time DAG construction for a generated workload")
+    bench.add_argument("--gen", choices=sorted(_GENERATORS), required=True)
+    bench.add_argument(
         "--n",
         type=int,
         required=True,
         help="multiplier for mul gens, input count for sklansky gens (n >= 0)",
     )
-    p_bench.add_argument("--repeat", type=int, default=5, help="runs to take the median of")
-    p_bench.set_defaults(func=_cmd_bench)
+    bench.add_argument("--repeat", type=int, default=5, help="runs to take the median of")
+    bench.set_defaults(func=_cmd_bench)
 
     return top
 
@@ -179,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.repeat < 1:
             parser.error("--repeat must be >= 1")
     try:
-        return args.func(args)
+        args.func(args)
     except (ParseError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -192,7 +177,4 @@ def main(argv: list[str] | None = None) -> int:
     except UnboundVariableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return 0

@@ -61,9 +61,6 @@ class Evaluator(FullBuilder[int]):
     def sub(self, left, right):
         return wrap64(left - right)
 
-    def let_(self, bound, body):
-        return body(bound)
-
 
 @collector_paused
 def evaluate(program: Program, env: Env) -> int:
@@ -122,9 +119,6 @@ class FlatPrinter(FullBuilder[str]):
     def sub(self, left, right):
         return f"{left} - {right}"
 
-    def let_(self, bound, body):
-        return body(bound)
-
 
 @collector_paused
 def print_flat(program: Program) -> str:
@@ -145,8 +139,10 @@ class LetPrinter(FullBuilder[tuple[int, str] | Callable[[Iterator[str], int], st
     and before its body, so names are distinct and increase left to right.
     A let-free term is never below operator level, so only the contexts
     that ask for an atom (a neg operand, a sub's right side) bracket one,
-    when they are built. ``free`` collects every variable name the program
-    uses, so print_let can keep binders from capturing them.
+    when they are built. An add, neg or sub with a let_ inside returns the
+    one deferred operator, ``_operator``; their let-free branches stay
+    inline, so they enter no helper frame. ``free`` collects every variable
+    name the program uses, so print_let can keep binders from capturing them.
     """
 
     def __init__(self) -> None:
@@ -164,40 +160,19 @@ class LetPrinter(FullBuilder[tuple[int, str] | Callable[[Iterator[str], int], st
     def add(self, left, right):
         if type(left) is tuple and type(right) is tuple:
             return (1, f"{left[1]} + {right[1]}")
-
-        def run(supply, prec):
-            text = (
-                f"{left[1] if type(left) is tuple else left(supply, 0)} + "
-                f"{right[1] if type(right) is tuple else right(supply, 0)}"
-            )
-            return f"({text})" if prec > 1 else text
-
-        return run
+        return _operator(left, " + ", right, 0)
 
     def neg(self, operand):
         if type(operand) is tuple:
             return (1, f"-{operand[1]}" if operand[0] > 1 else f"-({operand[1]})")
-
-        def run(supply, prec):
-            text = f"-{operand(supply, 2)}"
-            return f"({text})" if prec > 1 else text
-
-        return run
+        return _operator((2, ""), "-", operand, 2)
 
     def sub(self, left, right):
         if type(right) is tuple and right[0] < 2:
             right = (2, f"({right[1]})")
         if type(left) is tuple and type(right) is tuple:
             return (1, f"{left[1]} - {right[1]}")
-
-        def run(supply, prec):
-            text = (
-                f"{left[1] if type(left) is tuple else left(supply, 0)} - "
-                f"{right[1] if type(right) is tuple else right(supply, 2)}"
-            )
-            return f"({text})" if prec > 1 else text
-
-        return run
+        return _operator(left, " - ", right, 2)
 
     def let_(self, bound, body):
         def run(supply, prec):
@@ -209,6 +184,21 @@ class LetPrinter(FullBuilder[tuple[int, str] | Callable[[Iterator[str], int], st
             return f"({text})" if prec > 0 else text
 
         return run
+
+
+def _operator(left, op: str, right, right_prec: int):
+    """LetPrinter's deferred ``left op right``, at operator level. Either
+    side is a ``(level, text)`` pair or a ``run``; a ``run`` on the left is
+    rendered at let level, and one on the right at ``right_prec``."""
+
+    def run(supply, prec):
+        text = (
+            f"{left[1] if type(left) is tuple else left(supply, 0)}{op}"
+            f"{right[1] if type(right) is tuple else right(supply, right_prec)}"
+        )
+        return f"({text})" if prec > 1 else text
+
+    return run
 
 
 def _binder_names(skip: set[str], drawn: list[str]) -> Iterator[str]:

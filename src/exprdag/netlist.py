@@ -9,10 +9,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from .dag import Dag, NodeId
-from .interp import Env, UnboundVariableError
+from .interp import _HALF, Env, UnboundVariableError
 
 _MASK = (1 << 64) - 1
-_HALF = 1 << 63
 
 
 def eval_dag(dag: Dag, root: NodeId, env: Env) -> int:

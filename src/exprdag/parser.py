@@ -193,8 +193,8 @@ def _cons(ids, scope, ast):
     keeps a persistent chain. Nodes are consed in the order its terms would
     cons them: after their children, left to right, and a let's bound first."""
     kind = ast[0] if type(ast) is tuple else None
-    if kind == "add":
-        return ids["add", _cons(ids, scope, ast[1]), _cons(ids, scope, ast[2])]
+    if kind == "add" or kind == "sub":  # the tree's tag is the node's tag
+        return ids[kind, _cons(ids, scope, ast[1]), _cons(ids, scope, ast[2])]
     if kind == "var":
         name = ast[1]
         if name in scope:
@@ -202,8 +202,6 @@ def _cons(ids, scope, ast):
         if type(name) is not str or not name:
             require_name(name)
         return ids["var", name]
-    if kind == "sub":
-        return ids["sub", _cons(ids, scope, ast[1]), _cons(ids, scope, ast[2])]
     if kind == "const":
         if type(ast[1]) is not int:
             require_int(ast[1])

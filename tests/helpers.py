@@ -238,6 +238,14 @@ def python_calls(run):
 # Free names stay clear of the v<digits> pattern the let renderer generates.
 FREE_NAMES = ("x", "y", "z", "i1", "i2")
 LET_NAMES = ("t0", "t1", "t2", "t3", "t4", "t5")
+# 200 chained lets: 1,600 tree nodes (200 lets, 600 operators, 800 leaves)
+# and 801 distinct nodes. Frame gates on the direct walk and on print_let
+# count calls over it.
+LETS_200 = (
+    "let a0 = x + 1 in "
+    + "".join(f"let a{i} = a{i - 1} + a{i - 1} - (y - {i}) in " for i in range(1, 200))
+    + "-a199 + x"
+)
 # Pieces of text near the grammar, two of them characters the scanner rejects.
 GRAMMAR_ATOMS = (
     ("let", "in", "=", "+", "-", "(", ")", " ", "\t", "\n", "\r\n", "x", "t1", "0", "42")

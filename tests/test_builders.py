@@ -4,6 +4,7 @@ import pytest
 
 from exprdag.builders import FullBuilder, TreeBuilder, lower_to_tree
 from exprdag.dag import DagBuilder
+from exprdag.generators import mul, mul_shared
 from exprdag.interp import Evaluator, FlatPrinter, LetPrinter, SizeBuilder
 
 import helpers
@@ -100,6 +101,31 @@ def test_partial_builder_cannot_be_instantiated():
 
     with pytest.raises(TypeError):
         OnlyAdd()
+
+
+def test_let_defaults_to_substitution():
+    class Ints(FullBuilder):
+        """Only the five constructors; let_ is inherited."""
+
+        def constant(self, value):
+            return value
+
+        def variable(self, name):
+            return 7
+
+        def add(self, left, right):
+            return left + right
+
+        def neg(self, operand):
+            return -operand
+
+        def sub(self, left, right):
+            return left - right
+
+    b = Ints()
+    t = b.variable("x")
+    assert b.let_(t, lambda u: u) is t
+    assert mul_shared(b, 15, t) == mul(b, 15, t) == 105
 
 
 def test_tree_oracle_agrees_on_a_known_tree():

@@ -11,6 +11,7 @@ from exprdag.interp import (
     size,
     wrap64,
 )
+from exprdag.parser import elaborate, parse
 
 import helpers
 
@@ -228,6 +229,15 @@ class TestPrintLetCost:
         # Rendering each node of the expanded tree would be ~2n calls.
         assert calls < 1_000
         assert text == " + ".join(["x"] * n)
+
+    def test_a_let_free_operator_runs_no_helper_frame(self):
+        # All 600 operators are let-free when built, so each renders inline
+        # into (level, text). This pins "a let-free operator runs no helper
+        # frame": sending them through the deferred one enters about 4,410.
+        tree = parse(helpers.LETS_200)
+        out, calls = helpers.python_calls(lambda: print_let(lambda b: elaborate(tree, b)))
+        assert out.endswith("let v199 = v198 + v198 - (y - 199) in -v199 + x")
+        assert calls <= 3_810 + 16
 
     def test_a_long_let_chain_prints_at_the_default_recursion_limit(self):
         def program(b):

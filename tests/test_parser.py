@@ -339,9 +339,7 @@ class TestDirectWalk:
     """elaborate on an exact DagBuilder: one term that conses the tree."""
 
     def test_a_build_enters_a_frame_per_tree_node_and_per_new_node(self):
-        text = "let a0 = x + 1 in "
-        text += "".join(f"let a{i} = a{i - 1} + a{i - 1} - (y - {i}) in " for i in range(1, 200))
-        tree = parse(text + "-a199 + x")
+        tree = parse(helpers.LETS_200)
         (_, dag), calls = helpers.python_calls(lambda: build_dag(lambda b: elaborate(tree, b)))
         # 1,600 tree nodes (200 lets, 600 operators and 800 leaves) and 801
         # new nodes: the walk enters 2,412 frames, the builder's terms 5,413.
