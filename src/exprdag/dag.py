@@ -79,7 +79,7 @@ class Dag:
         storing nothing, rejects a non-tuple, an unknown kind or length, a const
         not an int, a var not a non-empty str, or a child not yet in this Dag.
         """
-        kind = node[0] if type(node) is tuple and node else None
+        kind = node[0] if type(node) is tuple and node and type(node[0]) is str else None
         if kind not in _KINDS or _KINDS[kind][0] != len(node) or not (
             type(node[1]) is int if kind == "const"
             else type(node[1]) is str and node[1] != "" if kind == "var"

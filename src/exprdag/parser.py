@@ -20,13 +20,14 @@ scanning again with ``_TOKEN`` to the failing token's offset.
 
 ``elaborate`` dispatches on a tree node's tag and links a (name, term,
 parent) scope frame per let, not a copy, so it is linear in let depth; a
-name no let has bound skips the chain walk. On an exact DagBuilder it skips
-the builder's terms: it returns one term that walks the tree when it runs
-and conses each node straight into the node table, one frame per tree
-level, with one dict as its scope. DagBuilder defers every term so that a
-host alias is built again, as the paper's cost claim needs; a tree has no
-host aliases, since each subtree occurs once and shares only through its
-lets, so the deferral buys nothing there.
+name no let has bound skips the chain walk. On an exact DagBuilder,
+Evaluator or SizeBuilder it fuses with the interpreter, one frame per tree
+level and one dict as its scope: one term that conses each node straight
+into the node table when it runs, or the value or size at once, calling the
+builder only at leaves. DagBuilder defers every term so that a host alias
+is built again, as the paper's cost claim needs; a tree has no host
+aliases, since each subtree occurs once and shares only through its lets,
+so the deferral buys nothing there.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from functools import partial
 
 from .builders import FullBuilder, require_int, require_name
 from .dag import DagBuilder
+from .interp import _HALF, _WORD, Evaluator, SizeBuilder
 
 # ASCII only: \d, \w and \s would also admit other Unicode digits, letters
 # and spaces.
@@ -187,18 +189,20 @@ class _Elaborator:
 
 def _cons(ids, scope, ast):
     """elaborate's walk for an exact DagBuilder: cons the tree ``ast`` into
-    the node table ``ids`` and return its id. ``scope`` maps each let-bound
-    name in reach to its node id. A let runs its body once, at once, so it
-    saves the binding it shadows and restores it after, where _Elaborator
-    keeps a persistent chain. Nodes are consed in the order its terms would
-    cons them: after their children, left to right, and a let's bound first."""
+    the node table ``ids`` and return its id. ``scope`` maps a name to the id
+    of the innermost let in reach binding it, or to None. A let runs its body
+    once, at once, so it saves the entry it shadows and restores it after,
+    where _Elaborator keeps a persistent chain. Nodes are consed in the order
+    its terms would cons them: after their children, left to right, and a
+    let's bound first."""
     kind = ast[0] if type(ast) is tuple else None
     if kind == "add" or kind == "sub":  # the tree's tag is the node's tag
         return ids[kind, _cons(ids, scope, ast[1]), _cons(ids, scope, ast[2])]
     if kind == "var":
         name = ast[1]
-        if name in scope:
-            return scope[name]
+        node = scope.get(name)
+        if node is not None:
+            return node
         if type(name) is not str or not name:
             require_name(name)
         return ids["var", name]
@@ -209,19 +213,69 @@ def _cons(ids, scope, ast):
     if kind == "let":
         name = ast[1]
         bound = _cons(ids, scope, ast[2])
-        outer = scope.get(name, scope)  # the scope itself marks an unbound name
+        outer = scope.get(name)
         scope[name] = bound
         node = _cons(ids, scope, ast[3])
-        if outer is scope:
-            del scope[name]
-        else:
-            scope[name] = outer
+        scope[name] = outer
         return node
     if kind == "neg":
         operand = ast[1]
         if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
             return ids["const", -operand[1]]
         return ids["neg", _cons(ids, scope, operand)]
+    raise TypeError(f"not an expression tree: {ast!r}")
+
+
+def _evaluate(builder, scope, ast):
+    """elaborate's walk for an exact Evaluator: the value of the tree ``ast``,
+    scoped as in _cons. Leaves go through the builder; inner nodes wrap here."""
+    kind = ast[0] if type(ast) is tuple else None
+    if kind == "add" or kind == "sub":
+        left = _evaluate(builder, scope, ast[1])
+        right = _evaluate(builder, scope, ast[2])
+        return ((left + right if kind == "add" else left - right) + _HALF) % _WORD - _HALF
+    if kind == "var":
+        value = scope.get(ast[1])
+        return builder.variable(ast[1]) if value is None else value
+    if kind == "const":
+        return builder.constant(ast[1])
+    if kind == "let":
+        bound = _evaluate(builder, scope, ast[2])
+        outer = scope.get(ast[1])
+        scope[ast[1]] = bound
+        value = _evaluate(builder, scope, ast[3])
+        scope[ast[1]] = outer
+        return value
+    if kind == "neg":
+        operand = ast[1]
+        if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
+            return builder.constant(-operand[1])
+        return (_HALF - _evaluate(builder, scope, operand)) % _WORD - _HALF
+    raise TypeError(f"not an expression tree: {ast!r}")
+
+
+def _size(builder, scope, ast):
+    """elaborate's walk for an exact SizeBuilder: the size of the tree ``ast``,
+    scoped as in _cons, where a let-bound name is worth 0, the cost of a use."""
+    kind = ast[0] if type(ast) is tuple else None
+    if kind == "add" or kind == "sub":
+        return _size(builder, scope, ast[1]) + _size(builder, scope, ast[2]) + 1
+    if kind == "var":
+        return builder.variable(ast[1]) if scope.get(ast[1]) is None else 0
+    if kind == "const":
+        return builder.constant(ast[1])
+    if kind == "let":
+        bound = _size(builder, scope, ast[2])
+        outer = scope.get(ast[1])
+        scope[ast[1]] = 0
+        body = _size(builder, scope, ast[3])
+        scope[ast[1]] = outer
+        return bound + body
+    if kind == "neg":
+        operand = ast[1]
+        if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
+            return builder.constant(-operand[1])
+        return _size(builder, scope, operand) + 1
     raise TypeError(f"not an expression tree: {ast!r}")
 
 
@@ -236,14 +290,19 @@ def elaborate(ast: tuple, builder: FullBuilder):
     A non-tuple or an unknown tag is a TypeError. Arity is not checked: a
     tuple too short for its tag is an IndexError, and extra items are ignored.
 
-    For a builder whose type is exactly DagBuilder, the result is one term
-    that conses the whole tree into the node table when it runs, building
-    the same nodes in the same order as the builder's own terms would. Only
-    the root is checked here; a bad node below it raises when the term runs,
-    inside build_dag. A DagBuilder subclass gets the builder's terms.
+    A builder whose type is exactly DagBuilder, Evaluator or SizeBuilder gets
+    a fused walk with the builder's own results, and its errors in the same
+    order: for DagBuilder, one term that conses the whole tree into the node
+    table when it runs, so only the root is checked here and a bad node below
+    it raises inside build_dag; for the other two, the value or size at once.
+    A subclass of any of the three gets the builder's terms.
     """
     if type(builder) is DagBuilder:
         if type(ast) is not tuple or ast[0] not in _TAGS:
             raise TypeError(f"not an expression tree: {ast!r}")
         return lambda ids: _cons(ids, {}, ast)
+    if type(builder) is Evaluator:
+        return _evaluate(builder, {}, ast)
+    if type(builder) is SizeBuilder:
+        return _size(builder, {}, ast)
     return _Elaborator(builder).elab(ast, None)

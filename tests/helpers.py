@@ -9,6 +9,7 @@ import sys
 
 from exprdag.builders import FullBuilder
 from exprdag.dag import Dag, DagBuilder, _NodeTable
+from exprdag.interp import Evaluator, SizeBuilder
 from exprdag.parser import elaborate
 
 _HALF = 1 << 63
@@ -204,6 +205,15 @@ class ClosureDagBuilder(DagBuilder):
     builder's deferred terms instead of its direct walk."""
 
 
+class GenericEvaluator(Evaluator):
+    """An Evaluator that is not exactly one, so that elaborate runs it through
+    the builder's terms instead of its fused walk."""
+
+
+class GenericSizeBuilder(SizeBuilder):
+    """A SizeBuilder that is not exactly one, for the same reason."""
+
+
 def counted_forest(program, builder=None):
     """Build a forest program's terms, in order, with ``builder`` (a new
     CountingBuilder by default) into a fresh Dag whose node table counts;
@@ -215,6 +225,24 @@ def counted_forest(program, builder=None):
     for term in program(builder):
         term(table)
     return dag, table, builder
+
+
+def outcome(run):
+    """run()'s value, or the type and text of the exception it raised."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def fused_outcomes(tree, env):
+    """The outcomes of evaluate and size on a tree, through elaborate's fused
+    walks, each checked equal to the outcome through the builder's terms."""
+    value = outcome(lambda: elaborate(tree, Evaluator(env)))
+    assert value == outcome(lambda: elaborate(tree, GenericEvaluator(env)))
+    nodes = outcome(lambda: elaborate(tree, SizeBuilder()))
+    assert nodes == outcome(lambda: elaborate(tree, GenericSizeBuilder()))
+    return value, nodes
 
 
 def python_calls(run):

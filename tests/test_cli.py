@@ -226,6 +226,25 @@ def test_too_deep_input_exits_2_with_one_line(capsys, monkeypatch, command):
     assert err == "error: program nests too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (["eval", "--var", "x=1"], "450"),
+        (["size"], "899"),
+        (["show"], "let v0 = x in let v1 = v0 + 1 in"),
+        (["compile"], "n0 = input x"),
+    ],
+    ids=["eval", "size", "show", "compile"],
+)
+def test_a_450_let_chain_runs_at_the_default_recursion_limit(capsys, monkeypatch, argv, first_line):
+    # parse takes two frames per let, and every walk after it one
+    lets = "".join(f"let a{i} = a{i - 1} + 1 in " for i in range(1, 450))
+    text = f"let a0 = x in {lets}a449"
+    code, out, err = run_cli(capsys, monkeypatch, argv, stdin=text)
+    assert (code, err) == (0, "")
+    assert out.startswith(first_line)
+
+
 @pytest.mark.parametrize("command", ["eval", "show", "size", "compile"])
 def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, command):
     # A huge input can exhaust memory in read_text or the scanner, before any

@@ -116,6 +116,9 @@ class TestHashcons:
             5,
             ["var", "x"],
             None,
+            ([1],),  # unhashable tags: the kind test must not hash them
+            ({}, 1),
+            (["add"], 0, 0),
         ],
     )
     def test_a_malformed_node_is_rejected_and_not_stored(self, node):

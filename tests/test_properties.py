@@ -48,11 +48,18 @@ def asts(with_neg_sub=True, with_let=True):
 
 
 envs = st.fixed_dictionaries({name: wide_ints for name in NAMES})
+partial_envs = st.dictionaries(st.sampled_from(NAMES), wide_ints)
 
 
 @given(asts(), envs)
 def test_evaluate_agrees_with_the_recursive_oracle(ast, env):
     assert evaluate(helpers.program_of(ast), env) == helpers.surface_eval(ast, env)
+
+
+@given(asts(), partial_envs)
+def test_the_fused_walks_agree_with_the_builder_terms(ast, env):
+    # An outcome is a value, or the first error's type and text.
+    helpers.fused_outcomes(ast, env)
 
 
 @given(asts(), envs)
