@@ -39,11 +39,13 @@ class Evaluator(FullBuilder[int]):
         self.env = env
 
     def constant(self, value):
-        require_int(value)
+        if type(value) is not int:
+            require_int(value)
         return wrap64(value)
 
     def variable(self, name):
-        require_name(name)
+        if type(name) is not str or not name:
+            require_name(name)
         try:
             value = self.env[name]
         except KeyError:
@@ -73,11 +75,13 @@ class SizeBuilder(FullBuilder[int]):
     the bound variable inside the body cost nothing."""
 
     def constant(self, value):
-        require_int(value)
+        if type(value) is not int:
+            require_int(value)
         return 1
 
     def variable(self, name):
-        require_name(name)
+        if type(name) is not str or not name:
+            require_name(name)
         return 1
 
     def add(self, left, right):
@@ -103,11 +107,13 @@ class FlatPrinter(FullBuilder[str]):
     again at every use, so output length follows the expanded tree."""
 
     def constant(self, value):
-        require_int(value)
+        if type(value) is not int:
+            require_int(value)
         return str(value)
 
     def variable(self, name):
-        require_name(name)
+        if type(name) is not str or not name:
+            require_name(name)
         return name
 
     def add(self, left, right):
@@ -149,11 +155,13 @@ class LetPrinter(FullBuilder[tuple[int, str] | Callable[[Iterator[str], int], st
         self.free: set[str] = set()
 
     def constant(self, value):
-        require_int(value)
+        if type(value) is not int:
+            require_int(value)
         return (2, str(value))
 
     def variable(self, name):
-        require_name(name)
+        if type(name) is not str or not name:
+            require_name(name)
         self.free.add(name)
         return (2, name)
 

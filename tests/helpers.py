@@ -9,8 +9,8 @@ import sys
 
 from exprdag.builders import FullBuilder
 from exprdag.dag import Dag, DagBuilder, _NodeTable
-from exprdag.interp import Evaluator, SizeBuilder
-from exprdag.parser import elaborate
+from exprdag.interp import Evaluator, SizeBuilder, print_let
+from exprdag.parser import _Elaborator, elaborate
 
 _HALF = 1 << 63
 _WORD = 1 << 64
@@ -245,6 +245,14 @@ def fused_outcomes(tree, env):
     return value, nodes
 
 
+def shown_outcome(tree):
+    """The outcome of print_let on a tree through elaborate's fused walk,
+    checked equal to the outcome through the builder's terms."""
+    text = outcome(lambda: print_let(program_of(tree)))
+    assert text == outcome(lambda: print_let(generic_program_of(tree)))
+    return text
+
+
 def python_calls(run):
     """``run()``'s result and the number of Python frames it entered, counted
     with sys.setprofile; a profiler that was already set is put back."""
@@ -308,6 +316,13 @@ def random_env(rng: random.Random):
 
 def program_of(ast):
     return lambda builder: elaborate(ast, builder)
+
+
+def generic_program_of(ast):
+    """A program that runs ``ast`` through the builder's terms on any builder,
+    as elaborate does on one it has no fused walk for. print_let makes its
+    own exact LetPrinter, so no subclass can take this path for it."""
+    return lambda builder: _Elaborator(builder).elab(ast, None)
 
 
 class ShareEveryTerm(FullBuilder):

@@ -424,45 +424,73 @@ MALFORMED = {
 
 
 class TestFusedWalks:
-    """elaborate on an exact Evaluator or SizeBuilder: the tree is walked once
-    into the value or the size, with the outcome of the builder's terms."""
+    """elaborate on an exact Evaluator, SizeBuilder or LetPrinter: the tree is
+    walked once into the value, the size or the text, with the outcome of the
+    builder's terms."""
 
     @pytest.mark.parametrize("tree, env, error, sized", MALFORMED.values(), ids=MALFORMED.keys())
     def test_a_malformed_tree_fails_as_the_builder_terms_fail(self, tree, env, error, sized):
         value, nodes = helpers.fused_outcomes(tree, env)
         assert value[0] is error
         assert nodes == sized if type(sized) is int else nodes[0] is sized
+        helpers.shown_outcome(tree)
 
     @pytest.mark.parametrize("text", SCOPING)
     @pytest.mark.parametrize("env", [{"x": 5}, {"x": 5, "q": 7}], ids=["q-unbound", "q-bound"])
     def test_a_let_scopes_its_name_as_the_builder_terms_do(self, text, env):
         helpers.fused_outcomes(parse(text), env)
+        helpers.shown_outcome(parse(text))
+
+    def test_print_let_reports_the_first_bad_node_in_rendering_order(self):
+        # The builder's terms defer a let body until rendering, so they meet
+        # the var 5 first; the fused walk renders the body first.
+        tree = ("add", ("let", "a", ("const", 1), ("const", 0.5)), ("var", 5))
+        with pytest.raises(TypeError, match="^constant must be an int, not float$"):
+            print_let(helpers.program_of(tree))
+        with pytest.raises(TypeError, match="^variable name must be a str, not int$"):
+            print_let(helpers.generic_program_of(tree))
 
     def test_a_walk_enters_a_frame_per_tree_node_and_per_leaf_method_call(self):
         # 1,600 tree nodes, 401 of them leaves that call the builder: a free
-        # variable or a constant, each two frames deep in size (the method and
-        # its check) and three in evaluate (and wrap64). Measured: evaluate
-        # enters 2,809 frames and size 2,407; the builder's terms 4,411 and 3,408.
+        # variable or a constant, one frame deep in size and print_let (the
+        # method) and two in evaluate (and wrap64); print_let also draws 200
+        # binder names from a generator. Measured: evaluate enters 2,408
+        # frames, size 2,006 and print_let 2,209; the builder's terms 4,010,
+        # 3,007 and 3,409.
         tree = parse(helpers.LETS_200)
         env = {"x": 3, "y": 5}
         value, calls = helpers.python_calls(lambda: evaluate(lambda b: elaborate(tree, b), env))
         assert value == helpers.surface_eval(tree, env)
-        assert calls <= 1_600 + 3 * 401 + 16
+        assert calls <= 1_600 + 2 * 401 + 16
         nodes, calls = helpers.python_calls(lambda: size(lambda b: elaborate(tree, b)))
         assert nodes == size(lambda b: elaborate(tree, helpers.GenericSizeBuilder()))
-        assert calls <= 1_600 + 2 * 401 + 16
+        assert calls <= 1_600 + 401 + 16
+        text, calls = helpers.python_calls(lambda: print_let(lambda b: elaborate(tree, b)))
+        assert text == print_let(helpers.generic_program_of(tree))
+        assert calls <= 1_600 + 401 + 200 + 16
 
     @pytest.mark.parametrize(
-        "tree, value, nodes",
-        [(let_chain(950), 950, 1_899), (sum_chain(950), 450_775, 1_899)],
+        "tree, value, nodes, text",
+        [
+            (
+                let_chain(950),
+                950,
+                1_899,
+                "let v0 = x in "
+                + "".join(f"let v{i} = v{i - 1} + 1 in " for i in range(1, 950))
+                + "v949",
+            ),
+            (sum_chain(950), 450_775, 1_899, " + ".join(f"x{i}" for i in range(950))),
+        ],
         ids=["let-chain", "sum"],
     )
-    def test_a_walk_takes_950_levels_at_the_default_recursion_limit(self, tree, value, nodes):
+    def test_a_walk_takes_950_levels_at_the_default_recursion_limit(self, tree, value, nodes, text):
         # one frame per tree level; the builder's terms take three per let
         env = {"x": 1, **{f"x{i}": i for i in range(950)}}
         program = lambda b: elaborate(tree, b)  # noqa: E731
         assert run_deep(lambda: evaluate(program, env), limit=1_000, stack=0) == value
         assert run_deep(lambda: size(program), limit=1_000, stack=0) == nodes
+        assert run_deep(lambda: print_let(program), limit=1_000, stack=0) == text
 
     def test_a_subclass_gets_the_builder_terms(self):
         calls = []
