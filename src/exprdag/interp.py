@@ -11,12 +11,7 @@ from .builders import FullBuilder, Program, collector_paused, require_int, requi
 Env = Mapping[str, int]
 
 _HALF = 1 << 63
-_WORD = 1 << 64
-
-
-def wrap64(value: int) -> int:
-    """Reduce to the signed 64-bit range with two's-complement wraparound."""
-    return (value + _HALF) % _WORD - _HALF
+_MASK = (1 << 64) - 1
 
 
 class UnboundVariableError(LookupError):
@@ -28,7 +23,9 @@ class UnboundVariableError(LookupError):
 
 
 class Evaluator(FullBuilder[int]):
-    """Terms are the 64-bit values themselves, computed as they are built.
+    """Terms are the values, computed as they are built, as residues mod 2**64,
+    which add, neg and sub respect: evaluate signs only the result, so a term
+    read directly, as from ``elaborate(tree, Evaluator(env))``, is unsigned.
 
     A term is an int, so let_ is call-by-value for free: its bound term is
     computed once, before the body gets it, however often the body uses it.
@@ -41,7 +38,7 @@ class Evaluator(FullBuilder[int]):
     def constant(self, value):
         if type(value) is not int:
             require_int(value)
-        return wrap64(value)
+        return value & _MASK
 
     def variable(self, name):
         if type(name) is not str or not name:
@@ -52,22 +49,23 @@ class Evaluator(FullBuilder[int]):
             raise UnboundVariableError(name) from None
         if type(value) is not int:
             raise TypeError(f"value of {name} must be an int, not {type(value).__name__}")
-        return wrap64(value)
+        return value & _MASK
 
     def add(self, left, right):
-        return wrap64(left + right)
+        return left + right & _MASK
 
     def neg(self, operand):
-        return wrap64(-operand)
+        return -operand & _MASK
 
     def sub(self, left, right):
-        return wrap64(left - right)
+        return left - right & _MASK
 
 
 @collector_paused
 def evaluate(program: Program, env: Env) -> int:
-    """Evaluate a program under an environment mapping names to values."""
-    return program(Evaluator(env))
+    """Evaluate a program under an environment, wrapping to signed 64 bits."""
+    value = program(Evaluator(env))
+    return (value + _HALF & _MASK) - _HALF
 
 
 class SizeBuilder(FullBuilder[int]):
@@ -222,10 +220,12 @@ def _binder_names(skip: set[str], drawn: list[str]) -> Iterator[str]:
 def print_let(program: Program) -> str:
     """Render a program with its sharing shown as let bindings.
 
-    Binders are named ``v0, v1, ...``, skipping every free variable name so
-    that no binder captures one. A let body's variables are only known once
-    the body has been built during rendering, so a rendering whose binders
-    met a name found later in it is done again with every free name known.
+    Parsed again, the text has the program's value under every env, though
+    not always its tree, DAG or size. Binders are named ``v0, v1, ...``,
+    skipping every free variable name so that no binder captures one. A let
+    body's variables are only known once the body has been built during
+    rendering, so a rendering whose binders met a name found later in it is
+    done again with every free name known.
     """
     printer = LetPrinter()
     term = program(printer)

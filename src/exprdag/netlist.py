@@ -9,15 +9,12 @@ from __future__ import annotations
 from typing import Iterable
 
 from .dag import Dag, NodeId
-from .interp import _HALF, Env, UnboundVariableError
-
-_MASK = (1 << 64) - 1
+from .interp import _HALF, _MASK, Env, UnboundVariableError
 
 
 def eval_dag(dag: Dag, root: NodeId, env: Env) -> int:
-    """Evaluate bottom-up in id order, each node once, keeping values mod
-    2**64 (add, neg and sub respect it) and signing only the root's value:
-    the result equals wrapping to signed 64 bits at every step."""
+    """Evaluate bottom-up in id order, each node once, by evaluate's rule:
+    values mod 2**64, and only the root's value signed to 64 bits."""
     dag.node(root)
     values: list[int] = []
     for node in dag._nodes[: root + 1]:
@@ -39,7 +36,7 @@ def eval_dag(dag: Dag, root: NodeId, env: Env) -> int:
             case ("sub", left, right):
                 values.append((values[left] - values[right]) & _MASK)
     value = values[root]
-    return value - (1 << 64) if value & _HALF else value
+    return (value + _HALF & _MASK) - _HALF
 
 
 def emit_netlist(dag: Dag, roots: Iterable[NodeId]) -> str:

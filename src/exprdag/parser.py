@@ -23,8 +23,8 @@ parent) scope frame per let, not a copy, so it is linear in let depth; a
 name no let has bound skips the chain walk. On an exact DagBuilder,
 Evaluator, SizeBuilder or LetPrinter it fuses with the interpreter, one
 frame per tree level and one dict as its scope, calling the builder only at
-leaves: a term that conses each node into the node table, the value or
-size at once, or a term that renders the text into one list joined once.
+leaves: a term that conses the tree into the node table, the value mod 2**64
+or size at once, or a term that renders the text into one list joined once.
 DagBuilder defers every term so that a host alias is built again, as the
 paper's cost claim needs; a tree has no host aliases, since each subtree
 occurs once and shares only through its lets, so deferral buys nothing.
@@ -37,7 +37,7 @@ from functools import partial
 
 from .builders import FullBuilder, require_int, require_name
 from .dag import DagBuilder
-from .interp import _HALF, _WORD, Evaluator, LetPrinter, SizeBuilder
+from .interp import _MASK, Evaluator, LetPrinter, SizeBuilder
 
 # ASCII only: \d, \w and \s would also admit other Unicode digits, letters
 # and spaces.
@@ -227,13 +227,13 @@ def _cons(ids, scope, ast):
 
 
 def _evaluate(builder, scope, ast):
-    """elaborate's walk for an exact Evaluator: the value of the tree ``ast``,
-    scoped as in _cons. Leaves go through the builder; inner nodes wrap here."""
+    """elaborate's walk for an exact Evaluator: the tree ``ast``'s value mod
+    2**64, as an Evaluator term, scoped as in _cons. Leaves call the builder."""
     kind = ast[0] if type(ast) is tuple else None
     if kind == "add" or kind == "sub":
         left = _evaluate(builder, scope, ast[1])
         right = _evaluate(builder, scope, ast[2])
-        return ((left + right if kind == "add" else left - right) + _HALF) % _WORD - _HALF
+        return (left + right if kind == "add" else left - right) & _MASK
     if kind == "var":
         value = scope.get(ast[1])
         return builder.variable(ast[1]) if value is None else value
@@ -250,7 +250,7 @@ def _evaluate(builder, scope, ast):
         operand = ast[1]
         if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
             return builder.constant(-operand[1])
-        return (_HALF - _evaluate(builder, scope, operand)) % _WORD - _HALF
+        return -_evaluate(builder, scope, operand) & _MASK
     raise TypeError(f"not an expression tree: {ast!r}")
 
 
@@ -338,13 +338,13 @@ def elaborate(ast: tuple, builder: FullBuilder):
     tuple too short for its tag is an IndexError, and extra items are ignored.
 
     A builder whose type is exactly DagBuilder, Evaluator, SizeBuilder or
-    LetPrinter gets a fused walk with the builder's own results: the value or
-    size at once, with the builder's errors in their order, or one term that
-    conses the tree or renders its text when it runs. Such a term checks
-    only the root here. Below it, build_dag raises at the same bad node, and
-    print_let at the first in rendering order, which the builder's terms
-    break by deferring let bodies. A subclass of any of the four gets the
-    builder's terms.
+    LetPrinter gets a fused walk with the builder's own results: the value
+    mod 2**64 (an Evaluator term) or size at once, with the builder's errors
+    in their order, or one term that conses the tree or renders its text
+    when it runs. Such a term checks only the root here. Below it, build_dag
+    raises at the same bad node, and print_let at the first in rendering
+    order, which the builder's terms break by deferring let bodies. A
+    subclass of any of the four gets the builder's terms.
     """
     exact = type(builder)
     if exact is Evaluator:

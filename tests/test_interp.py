@@ -9,7 +9,6 @@ from exprdag.interp import (
     print_flat,
     print_let,
     size,
-    wrap64,
 )
 from exprdag.parser import parse
 
@@ -109,10 +108,19 @@ class TestEvaluate:
         assert err.value.name == "z"
 
     def test_values_wrap_at_64_bits(self):
-        top = (1 << 63) - 1
-        assert evaluate(lambda b: b.add(b.constant(top), b.constant(1)), {}) == -(1 << 63)
-        assert wrap64(1 << 63) == -(1 << 63)
-        assert wrap64(-(1 << 63) - 1) == top
+        # Each step wraps to signed 64 bits, in a host program and through
+        # the fused walk of a parsed one.
+        top, low = (1 << 63) - 1, -(1 << 63)
+        cases = [
+            ("x + 1", lambda b: b.add(b.variable("x"), b.constant(1)), {"x": top}, low),
+            ("-x", lambda b: b.neg(b.variable("x")), {"x": low}, low),
+            ("x - 1", lambda b: b.sub(b.variable("x"), b.constant(1)), {"x": low}, top),
+            ("x", lambda b: b.variable("x"), {"x": 3 * (1 << 64) + top}, top),
+            ("x - y", lambda b: b.sub(b.variable("x"), b.variable("y")), {"x": 1, "y": 1 << 65}, 1),
+        ]
+        for text, host, env, value in cases:
+            assert evaluate(host, env) == value, text
+            assert evaluate(helpers.program_of(parse(text)), env) == value, text
 
 
 class TestSize:

@@ -452,16 +452,15 @@ class TestFusedWalks:
 
     def test_a_walk_enters_a_frame_per_tree_node_and_per_leaf_method_call(self):
         # 1,600 tree nodes, 401 of them leaves that call the builder: a free
-        # variable or a constant, one frame deep in size and print_let (the
-        # method) and two in evaluate (and wrap64); print_let also draws 200
-        # binder names from a generator. Measured: evaluate enters 2,408
-        # frames, size 2,006 and print_let 2,209; the builder's terms 4,010,
-        # 3,007 and 3,409.
+        # variable or a constant, one frame deep (the method) in each walk;
+        # print_let also draws 200 binder names from a generator. Measured:
+        # evaluate enters 2,007 frames, size 2,006 and print_let 2,209; the
+        # builder's terms 3,008, 3,007 and 3,409.
         tree = parse(helpers.LETS_200)
         env = {"x": 3, "y": 5}
         value, calls = helpers.python_calls(lambda: evaluate(lambda b: elaborate(tree, b), env))
         assert value == helpers.surface_eval(tree, env)
-        assert calls <= 1_600 + 2 * 401 + 16
+        assert calls <= 1_600 + 401 + 16
         nodes, calls = helpers.python_calls(lambda: size(lambda b: elaborate(tree, b)))
         assert nodes == size(lambda b: elaborate(tree, helpers.GenericSizeBuilder()))
         assert calls <= 1_600 + 401 + 16

@@ -1,6 +1,9 @@
 """Property-based checks across the interpreters, the DAG builder, and the
 parser round trip."""
 
+import importlib.util
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +16,14 @@ from exprdag.parser import elaborate, parse
 
 import helpers
 
+# The benchmark's reference semantics, loaded by path: it imports nothing
+# from exprdag, so it checks the library against arithmetic of its own.
+_spec = importlib.util.spec_from_file_location(
+    "reference", Path(__file__).parent.parent / "compilebench" / "reference.py"
+)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
+
 # v0 and v1 are the names print_let gives its first binders, so the round
 # trip also checks that no binder captures a free variable.
 NAMES = helpers.FREE_NAMES + helpers.LET_NAMES + ("v0", "v1")
@@ -20,6 +31,7 @@ NAMES = helpers.FREE_NAMES + helpers.LET_NAMES + ("v0", "v1")
 # Values reach past the signed 64-bit range and crowd its ends, so sums and
 # negations wrap.
 wide_ints = st.one_of(
+    st.sampled_from((2**63 - 1, 2**63, -(2**63), 2**64, 2**64 + 1, -(2**64) - 1)),
     st.integers(-(2**70), 2**70),
     st.integers(2**63 - 4, 2**63 + 4),
     st.integers(-(2**63) - 4, -(2**63) + 4),
@@ -33,15 +45,17 @@ def leaves():
     )
 
 
-def asts(with_neg_sub=True, with_let=True, siblings=False):
+def asts(with_neg_sub=True, with_let=True, siblings=False, with_neg=True):
     """Trees over NAMES. With ``siblings``, some are a let and then a sibling
     that uses the let's name, where it is free or bound by an outer let: a
-    walk whose scope outlives a let's body reads the wrong binding there."""
+    walk whose scope outlives a let's body reads the wrong binding there.
+    Without ``with_neg``, trees have sub nodes but no neg nodes."""
 
     def extend(inner):
         options = [st.tuples(st.just("add"), inner, inner)]
         if with_neg_sub:
             options.append(st.tuples(st.just("sub"), inner, inner))
+        if with_neg_sub and with_neg:
             options.append(st.tuples(st.just("neg"), inner))
         if with_let:
             let = st.tuples(st.just("let"), st.sampled_from(helpers.LET_NAMES), inner, inner)
@@ -232,6 +246,28 @@ def test_print_let_round_trip_preserves_evaluation(ast, env):
     program = helpers.program_of(ast)
     reparsed = helpers.program_of(parse(print_let(program)))
     assert evaluate(reparsed, env) == evaluate(program, env)
+
+
+@given(asts(with_neg=False))
+def test_print_let_round_trip_preserves_size_without_neg_nodes(ast):
+    # print_let promises the value, not the tree: a let or an operator on
+    # an operator's right re-parses differently but with the same size.
+    # Only a neg node can change it, since -97 re-parses as the constant -97.
+    program = helpers.program_of(ast)
+    assert size(helpers.program_of(parse(print_let(program)))) == size(program)
+
+
+@given(asts(siblings=True), envs)
+def test_an_independent_reference_agrees_with_every_evaluator(ast, env):
+    # compilebench/reference.py shares no code or arithmetic with exprdag: it
+    # runs the two emitted listings and the printed text by itself.
+    program = helpers.program_of(ast)
+    value = evaluate(program, env)
+    root, dag = build_dag(program)
+    assert eval_dag(dag, root, env) == value
+    assert reference.run_netlist(emit_netlist(dag, [root]), env) == [value]
+    assert reference.run_threeaddr(emit_threeaddr(dag, root), env) == value
+    assert reference.eval_text(print_let(program), env) == value
 
 
 @given(asts())
