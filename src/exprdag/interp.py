@@ -4,7 +4,7 @@ counter, and string renderers (flat and let-aware)."""
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .builders import FullBuilder, Program, collector_paused, require_int, require_name
 
@@ -129,24 +129,25 @@ def print_flat(program: Program) -> str:
     return program(FlatPrinter())
 
 
-class LetPrinter(FullBuilder[tuple[int, str] | Callable[[Iterator[str], int], str]]):
+# Heads of LetPrinter terms, which no expression tree can carry.
+_TEXT, _LET, _TREE = object(), object(), object()
+
+
+class LetPrinter(FullBuilder[tuple]):
     """Renders let_ as ``let vN = bound in body``.
 
     Text carries a level (let 0, operator 1, atom 2), and a context asks for
     one: a term of a lower level brackets itself, which inserts the few
     parentheses that keep output re-parseable. A term with no let_ inside is
-    rendered as it is built, into the pair ``(level, text)``, so host aliases
-    of it share one string. A term with a let_ inside is a function
-    ``run(supply, prec)``, because binder names are drawn in rendering order:
-    ``supply`` is one iterator of names threaded through the whole rendering,
-    and a binder draws its name after its bound expression has been rendered
-    and before its body, so names are distinct and increase left to right.
-    A let-free term is never below operator level, so only the contexts
-    that ask for an atom (a neg operand, a sub's right side) bracket one,
-    when they are built. An add, neg or sub with a let_ inside returns the
-    one deferred operator, ``_operator``; their let-free branches stay
-    inline, so they enter no helper frame. ``free`` collects every variable
-    name the program uses, so print_let can keep binders from capturing them.
+    rendered as it is built, into ``(_TEXT, level, text)``, so host aliases
+    of it share one string; it is never below operator level, so only the
+    contexts that ask for an atom (a neg operand, a sub's right side) bracket
+    one, when they are built. Binder names are drawn in rendering order, so
+    a term with a let_ inside is left for ``_show``: let_ returns
+    ``(_LET, bound, body)``, and an add, neg or sub over such a term returns
+    the tree node ``(kind, left, right)`` or ``("neg", operand)``. ``free``
+    collects every variable name the program uses, so print_let can keep
+    binders from capturing them.
     """
 
     def __init__(self) -> None:
@@ -155,56 +156,99 @@ class LetPrinter(FullBuilder[tuple[int, str] | Callable[[Iterator[str], int], st
     def constant(self, value):
         if type(value) is not int:
             require_int(value)
-        return (2, str(value))
+        return (_TEXT, 2, str(value))
 
     def variable(self, name):
         if type(name) is not str or not name:
             require_name(name)
         self.free.add(name)
-        return (2, name)
+        return (_TEXT, 2, name)
 
     def add(self, left, right):
-        if type(left) is tuple and type(right) is tuple:
-            return (1, f"{left[1]} + {right[1]}")
-        return _operator(left, " + ", right, 0)
+        if left[0] is _TEXT and right[0] is _TEXT:
+            return (_TEXT, 1, f"{left[2]} + {right[2]}")
+        return ("add", left, right)
 
     def neg(self, operand):
-        if type(operand) is tuple:
-            return (1, f"-{operand[1]}" if operand[0] > 1 else f"-({operand[1]})")
-        return _operator((2, ""), "-", operand, 2)
+        if operand[0] is _TEXT:
+            return (_TEXT, 1, f"-{operand[2]}" if operand[1] > 1 else f"-({operand[2]})")
+        return ("neg", operand)
 
     def sub(self, left, right):
-        if type(right) is tuple and right[0] < 2:
-            right = (2, f"({right[1]})")
-        if type(left) is tuple and type(right) is tuple:
-            return (1, f"{left[1]} - {right[1]}")
-        return _operator(left, " - ", right, 2)
+        if right[0] is _TEXT and right[1] < 2:
+            right = (_TEXT, 2, f"({right[2]})")
+        if left[0] is _TEXT and right[0] is _TEXT:
+            return (_TEXT, 1, f"{left[2]} - {right[2]}")
+        return ("sub", left, right)
 
     def let_(self, bound, body):
-        def run(supply, prec):
-            bound_text = bound[1] if type(bound) is tuple else bound(supply, 1)
-            name = next(supply)
-            result = body((2, name))
-            body_text = result[1] if type(result) is tuple else result(supply, 0)
-            text = f"let {name} = {bound_text} in {body_text}"
-            return f"({text})" if prec > 0 else text
-
-        return run
+        return (_LET, bound, body)
 
 
-def _operator(left, op: str, right, right_prec: int):
-    """LetPrinter's deferred ``left op right``, at operator level. Either
-    side is a ``(level, text)`` pair or a ``run``; a ``run`` on the left is
-    rendered at let level, and one on the right at ``right_prec``."""
-
-    def run(supply, prec):
-        text = (
-            f"{left[1] if type(left) is tuple else left(supply, 0)}{op}"
-            f"{right[1] if type(right) is tuple else right(supply, right_prec)}"
-        )
-        return f"({text})" if prec > 1 else text
-
-    return run
+def _show(builder, supply, scope, parts, ast, prec):
+    """Append the text of ``ast``, a LetPrinter term or an expression tree,
+    in a context that asks for level ``prec``, to the list ``parts`` and
+    return it. Binder names come from ``supply``, one iterator for the whole
+    rendering, after a binder's bound and before its body, so they are
+    distinct and increase left to right. ``scope`` maps a tree let's name to
+    its binder. A tree's leaves call ``builder`` for their checks and free
+    names."""
+    kind = ast[0] if type(ast) is tuple else None
+    if kind == "add" or kind == "sub":
+        if prec > 1:
+            parts.append("(")
+        _show(builder, supply, scope, parts, ast[1], 0)
+        parts.append(" + " if kind == "add" else " - ")
+        _show(builder, supply, scope, parts, ast[2], 0 if kind == "add" else 2)
+        if prec > 1:
+            parts.append(")")
+    elif kind is _TEXT:  # built at the level its context asks, or above
+        parts.append(ast[2])
+    elif kind == "var":
+        name = scope.get(ast[1])
+        parts.append(builder.variable(ast[1])[2] if name is None else name)
+    elif kind == "const":
+        parts.append(builder.constant(ast[1])[2])
+    elif kind == "let":
+        slot = len(parts)
+        parts.append(None)  # "let NAME = ", once the bound is rendered
+        _show(builder, supply, scope, parts, ast[2], 1)
+        name = next(supply)
+        parts[slot] = f"(let {name} = " if prec > 0 else f"let {name} = "
+        parts.append(" in ")
+        outer = scope.get(ast[1])
+        scope[ast[1]] = name
+        _show(builder, supply, scope, parts, ast[3], 0)
+        scope[ast[1]] = outer
+        if prec > 0:
+            parts.append(")")
+    elif kind is _LET:
+        slot = len(parts)
+        parts.append(None)
+        if ast[1][0] is _TEXT:
+            parts.append(ast[1][2])
+        else:
+            _show(builder, supply, scope, parts, ast[1], 1)
+        name = next(supply)
+        parts[slot] = f"(let {name} = " if prec > 0 else f"let {name} = "
+        parts.append(" in ")
+        _show(builder, supply, scope, parts, ast[2]((_TEXT, 2, name)), 0)
+        if prec > 0:
+            parts.append(")")
+    elif kind == "neg":
+        operand = ast[1]
+        if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
+            parts.append(builder.constant(-operand[1])[2])
+        else:
+            parts.append("(-" if prec > 1 else "-")
+            _show(builder, supply, scope, parts, operand, 2)
+            if prec > 1:
+                parts.append(")")
+    elif kind is _TREE:  # elaborate's term: a host neg over it folds no literal
+        _show(builder, supply, scope, parts, ast[1], prec)
+    else:
+        raise TypeError(f"not an expression tree: {ast!r}")
+    return parts
 
 
 def _binder_names(skip: set[str], drawn: list[str]) -> Iterator[str]:
@@ -220,19 +264,21 @@ def _binder_names(skip: set[str], drawn: list[str]) -> Iterator[str]:
 def print_let(program: Program) -> str:
     """Render a program with its sharing shown as let bindings.
 
-    Parsed again, the text has the program's value under every env, though
-    not always its tree, DAG or size. Binders are named ``v0, v1, ...``,
-    skipping every free variable name so that no binder captures one. A let
-    body's variables are only known once the body has been built during
-    rendering, so a rendering whose binders met a name found later in it is
-    done again with every free name known.
+    One walk, ``_show``, renders the program's term into a list of parts
+    joined once, so a let copies none of its body's text. Parsed again, the
+    text has the program's value under every env, though not always its
+    tree, DAG or size. Binders are named ``v0, v1, ...``, skipping every
+    free variable name so that no binder captures one. A let body's
+    variables are only known once the body has been built during rendering,
+    so a rendering whose binders met a name found later in it is done again
+    with every free name known.
     """
     printer = LetPrinter()
     term = program(printer)
-    if type(term) is tuple:
-        return term[1]
+    if term[0] is _TEXT:
+        return term[2]
     drawn: list[str] = []
-    text = term(_binder_names(printer.free, drawn), 0)
+    text = "".join(_show(printer, _binder_names(printer.free, drawn), {}, [], term, 0))
     if printer.free.isdisjoint(drawn):
         return text
-    return term(_binder_names(printer.free, []), 0)
+    return "".join(_show(printer, _binder_names(printer.free, []), {}, [], term, 0))

@@ -21,10 +21,10 @@ scanning again with ``_TOKEN`` to the failing token's offset.
 ``elaborate`` dispatches on a tree node's tag and links a (name, term,
 parent) scope frame per let, not a copy, so it is linear in let depth; a
 name no let has bound skips the chain walk. On an exact DagBuilder,
-Evaluator, SizeBuilder or LetPrinter it fuses with the interpreter, one
-frame per tree level and one dict as its scope, calling the builder only at
-leaves: a term that conses the tree into the node table, the value mod 2**64
-or size at once, or a term that renders the text into one list joined once.
+Evaluator or SizeBuilder it fuses with the interpreter, one frame per tree
+level and one dict as its scope, calling the builder only at leaves: a term
+that conses the tree into the node table, or the value or size at once. An
+exact LetPrinter gets the tree itself, for ``interp._show`` to render.
 DagBuilder defers every term so that a host alias is built again, as the
 paper's cost claim needs; a tree has no host aliases, since each subtree
 occurs once and shares only through its lets, so deferral buys nothing.
@@ -37,7 +37,7 @@ from functools import partial
 
 from .builders import FullBuilder, require_int, require_name
 from .dag import DagBuilder
-from .interp import _MASK, Evaluator, LetPrinter, SizeBuilder
+from .interp import _MASK, _TREE, Evaluator, LetPrinter, SizeBuilder
 
 # ASCII only: \d, \w and \s would also admit other Unicode digits, letters
 # and spaces.
@@ -279,53 +279,6 @@ def _size(builder, scope, ast):
     raise TypeError(f"not an expression tree: {ast!r}")
 
 
-def _show(builder, supply, scope, parts, ast, prec):
-    """elaborate's walk for an exact LetPrinter: append the text of the tree
-    ``ast``, in a context that asks for level ``prec``, to the list ``parts``
-    and return it, with LetPrinter's levels, brackets and binder order.
-    ``scope`` maps a name to the binder of the innermost let in reach, as in
-    _cons."""
-    kind = ast[0] if type(ast) is tuple else None
-    if kind == "add" or kind == "sub":
-        if prec > 1:
-            parts.append("(")
-        _show(builder, supply, scope, parts, ast[1], 0)
-        parts.append(" + " if kind == "add" else " - ")
-        _show(builder, supply, scope, parts, ast[2], 0 if kind == "add" else 2)
-        if prec > 1:
-            parts.append(")")
-    elif kind == "var":
-        name = scope.get(ast[1])
-        parts.append(builder.variable(ast[1])[1] if name is None else name)
-    elif kind == "const":
-        parts.append(builder.constant(ast[1])[1])
-    elif kind == "let":
-        slot = len(parts)
-        parts.append(None)  # "let NAME = ", once the bound is rendered
-        _show(builder, supply, scope, parts, ast[2], 1)
-        name = next(supply)
-        parts[slot] = f"(let {name} = " if prec > 0 else f"let {name} = "
-        parts.append(" in ")
-        outer = scope.get(ast[1])
-        scope[ast[1]] = name
-        _show(builder, supply, scope, parts, ast[3], 0)
-        scope[ast[1]] = outer
-        if prec > 0:
-            parts.append(")")
-    elif kind == "neg":
-        operand = ast[1]
-        if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
-            parts.append(builder.constant(-operand[1])[1])
-        else:
-            parts.append("(-" if prec > 1 else "-")
-            _show(builder, supply, scope, parts, operand, 2)
-            if prec > 1:
-                parts.append(")")
-    else:
-        raise TypeError(f"not an expression tree: {ast!r}")
-    return parts
-
-
 def elaborate(ast: tuple, builder: FullBuilder):
     """Turn an expression tree into a term of the given interpreter.
 
@@ -340,11 +293,11 @@ def elaborate(ast: tuple, builder: FullBuilder):
     A builder whose type is exactly DagBuilder, Evaluator, SizeBuilder or
     LetPrinter gets a fused walk with the builder's own results: the value
     mod 2**64 (an Evaluator term) or size at once, with the builder's errors
-    in their order, or one term that conses the tree or renders its text
-    when it runs. Such a term checks only the root here. Below it, build_dag
-    raises at the same bad node, and print_let at the first in rendering
-    order, which the builder's terms break by deferring let bodies. A
-    subclass of any of the four gets the builder's terms.
+    in their order, or one term that conses or renders the tree when it
+    runs. Such a term checks only the root here. Below it, build_dag raises
+    at the same bad node, and print_let at the first in rendering order,
+    which the builder's terms break by deferring let bodies. A subclass of
+    any of the four gets the builder's terms.
     """
     exact = type(builder)
     if exact is Evaluator:
@@ -357,4 +310,4 @@ def elaborate(ast: tuple, builder: FullBuilder):
         raise TypeError(f"not an expression tree: {ast!r}")
     if exact is DagBuilder:
         return lambda ids: _cons(ids, {}, ast)
-    return lambda supply, prec: "".join(_show(builder, supply, {}, [], ast, prec))
+    return (_TREE, ast)

@@ -6,6 +6,7 @@ deliberately separate from the builder/interpreter code paths it checks.
 
 import random
 import sys
+import threading
 
 from exprdag.builders import FullBuilder
 from exprdag.dag import Dag, DagBuilder, _NodeTable
@@ -269,6 +270,35 @@ def python_calls(run):
     finally:
         sys.setprofile(previous)
     return result, calls
+
+
+def run_deep(fn, limit=100_000, stack=256 * 1024 * 1024):
+    """Run fn on a worker thread with a big stack and a raised recursion
+    limit, restoring both; return its result or raise its exception. A
+    thread starts with an empty stack, so ``limit`` counts fn's frames
+    alone, give or take the thread's own few."""
+    result = {}
+
+    def target():
+        try:
+            result["value"] = fn()
+        except BaseException as exc:  # re-raised below, on the calling thread
+            result["error"] = exc
+
+    old_limit, old_stack = sys.getrecursionlimit(), threading.stack_size()
+    sys.setrecursionlimit(limit)
+    try:
+        threading.stack_size(stack)
+        worker = threading.Thread(target=target)
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        threading.stack_size(old_stack)
+        sys.setrecursionlimit(old_limit)
+    assert not worker.is_alive(), "deep run did not finish"
+    if "error" in result:
+        raise result["error"]
+    return result["value"]
 
 
 # Free names stay clear of the v<digits> pattern the let renderer generates.

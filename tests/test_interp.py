@@ -1,5 +1,8 @@
 """Evaluator, size counter, and the two renderers."""
 
+import time
+from statistics import median
+
 import pytest
 
 from exprdag.generators import mul, mul_shared
@@ -229,6 +232,18 @@ class TestPrintLet:
         assert print_let(program) == "let v1 = z in v1 + v1 - (v0 + y)"
 
 
+def host_let_chain(k):
+    """let v0 = x + 1 in let v1 = v0 + 1 in ... in v{k-1}, built in host code."""
+
+    def program(b):
+        body = lambda v: v  # noqa: E731
+        for _ in range(k):
+            body = (lambda inner: lambda v: b.let_(b.add(v, b.constant(1)), inner))(body)
+        return body(b.variable("x"))
+
+    return program
+
+
 class TestPrintLetCost:
     def test_an_aliased_let_free_term_is_rendered_once(self):
         n = 2**16 - 1
@@ -240,25 +255,33 @@ class TestPrintLetCost:
 
     def test_a_let_free_operator_runs_no_helper_frame(self):
         # All 600 operators are let-free when built, so each renders inline
-        # into (level, text). This pins "a let-free operator runs no helper
+        # into a text term. This pins "a let-free operator runs no helper
         # frame" on the builder's terms, which elaborate's fused walk for an
-        # exact LetPrinter makes none of: measured 3,409 frames, and sending
-        # the operators through the deferred one enters about 4,600.
+        # exact LetPrinter makes none of: measured 3,410 frames, and leaving
+        # the operators as tree nodes for _show enters 4,809.
         tree = parse(helpers.LETS_200)
         out, calls = helpers.python_calls(lambda: print_let(helpers.generic_program_of(tree)))
         assert out.endswith("let v199 = v198 + v198 - (y - 199) in -v199 + x")
         assert calls <= 3_408 + 16
 
     def test_a_long_let_chain_prints_at_the_default_recursion_limit(self):
-        def program(b):
-            body = lambda v: v
-            for _ in range(800):
-                body = (lambda inner: lambda v: b.let_(b.add(v, b.constant(1)), inner))(body)
-            return body(b.variable("x"))
-
-        text = print_let(program)
+        text = print_let(host_let_chain(800))
         assert text.startswith("let v0 = x + 1 in let v1 = v0 + 1 in ")
         assert text.endswith("let v799 = v798 + 1 in v799")
+
+    def test_a_host_let_chain_prints_in_time_linear_in_its_depth(self):
+        # Every let appends to one list of parts. A let that copied its
+        # body's text would make the 4x longer chain about 16x slower. The
+        # sizes alternate, so a swing in host speed lands on both sides of a
+        # pair rather than on one size.
+        def seconds(k):
+            program = host_let_chain(k)
+            start = time.perf_counter()
+            print_let(program)
+            return time.perf_counter() - start
+
+        ratios = helpers.run_deep(lambda: [seconds(20_000) / seconds(5_000) for _ in range(7)])
+        assert median(ratios) <= 7, ratios
 
     def test_a_long_let_free_sum_prints_at_any_length(self):
         def program(b):

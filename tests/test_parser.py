@@ -3,8 +3,6 @@
 import ast
 import gc
 import re
-import sys
-import threading
 import tracemalloc
 
 import pytest
@@ -283,35 +281,6 @@ def sum_chain(k):
     return tree
 
 
-def run_deep(fn, limit=100_000, stack=256 * 1024 * 1024):
-    """Run fn on a worker thread with a big stack and a raised recursion
-    limit, restoring both; return its result or raise its exception. A
-    thread starts with an empty stack, so ``limit`` counts fn's frames
-    alone, give or take the thread's own few."""
-    result = {}
-
-    def target():
-        try:
-            result["value"] = fn()
-        except BaseException as exc:  # re-raised below, on the calling thread
-            result["error"] = exc
-
-    old_limit, old_stack = sys.getrecursionlimit(), threading.stack_size()
-    sys.setrecursionlimit(limit)
-    try:
-        threading.stack_size(stack)
-        worker = threading.Thread(target=target)
-        worker.start()
-        worker.join(timeout=120)
-    finally:
-        threading.stack_size(old_stack)
-        sys.setrecursionlimit(old_limit)
-    assert not worker.is_alive(), "deep run did not finish"
-    if "error" in result:
-        raise result["error"]
-    return result["value"]
-
-
 @pytest.mark.parametrize(
     "interpret",
     [build_dag, lambda program: evaluate(program, {"x": 1}), size],
@@ -331,7 +300,7 @@ def test_elaboration_memory_is_linear_in_let_depth(interpret):
         finally:
             tracemalloc.stop()
 
-    small, large = run_deep(lambda: (peak(500), peak(1000)))
+    small, large = helpers.run_deep(lambda: (peak(500), peak(1000)))
     assert large / small < 2.6, (small, large)
 
 
@@ -360,7 +329,8 @@ class TestDirectWalk:
     )
     def test_build_dag_takes_950_levels_at_the_default_recursion_limit(self, tree, nodes):
         # one frame per tree level, as for the builder's terms
-        _, dag = run_deep(lambda: build_dag(lambda b: elaborate(tree, b)), limit=1_000, stack=0)
+        build = lambda: build_dag(lambda b: elaborate(tree, b))  # noqa: E731
+        _, dag = helpers.run_deep(build, limit=1_000, stack=0)
         assert len(dag) == nodes
 
     def test_a_bad_node_below_the_root_fails_when_the_term_runs(self):
@@ -420,6 +390,10 @@ MALFORMED = {
     ),
     "non-int-env-value": (("add", ("var", "x"), ("const", 1)), {"x": "1"}, TypeError, 3),
     "free-again-after-body": (parse("(let y = 2 in y) + y"), {"x": 1}, UnboundVariableError, 3),
+    # a (level, text) pair, which no LetPrinter term is, and a let whose
+    # bound is not a tuple: print_let's walk rejects both as the terms do
+    "level-and-text-pair": (("add", (2, "x"), ("var", "y")), {}, TypeError, TypeError),
+    "non-tuple-let-bound": (("let", "a", 5, ("var", "a")), {}, TypeError, TypeError),
 }
 
 
@@ -449,6 +423,25 @@ class TestFusedWalks:
             print_let(helpers.program_of(tree))
         with pytest.raises(TypeError, match="^variable name must be a str, not int$"):
             print_let(helpers.generic_program_of(tree))
+
+    @pytest.mark.parametrize(
+        "compose, text",
+        [
+            (lambda b, t: b.sub(b.variable("x"), b.neg(t(("const", 3)))), "x - (-3)"),
+            (lambda b, t: b.neg(t(("const", -3))), "--3"),
+            (lambda b, t: b.sub(b.variable("x"), b.neg(t(("neg", ("const", 3))))), "x - (--3)"),
+            (lambda b, t: b.let_(t(("var", "v0")), b.neg), "let v1 = v0 in -v1"),
+        ],
+        ids=["sub-neg-const", "neg-negative-const", "sub-neg-neg-const", "let-bound-free-v0"],
+    )
+    def test_host_code_over_an_elaborated_tree_prints_as_the_builder_terms_do(
+        self, compose, text
+    ):
+        # A host neg negates an elaborated tree's text at operator level; it
+        # does not fold the tree's literal as a neg node in the tree does.
+        assert print_let(lambda b: compose(b, lambda tree: elaborate(tree, b))) == text
+        generic = helpers.generic_program_of
+        assert print_let(lambda b: compose(b, lambda tree: generic(tree)(b))) == text
 
     def test_a_walk_enters_a_frame_per_tree_node_and_per_leaf_method_call(self):
         # 1,600 tree nodes, 401 of them leaves that call the builder: a free
@@ -487,9 +480,9 @@ class TestFusedWalks:
         # one frame per tree level; the builder's terms take three per let
         env = {"x": 1, **{f"x{i}": i for i in range(950)}}
         program = lambda b: elaborate(tree, b)  # noqa: E731
-        assert run_deep(lambda: evaluate(program, env), limit=1_000, stack=0) == value
-        assert run_deep(lambda: size(program), limit=1_000, stack=0) == nodes
-        assert run_deep(lambda: print_let(program), limit=1_000, stack=0) == text
+        assert helpers.run_deep(lambda: evaluate(program, env), limit=1_000, stack=0) == value
+        assert helpers.run_deep(lambda: size(program), limit=1_000, stack=0) == nodes
+        assert helpers.run_deep(lambda: print_let(program), limit=1_000, stack=0) == text
 
     def test_a_subclass_gets_the_builder_terms(self):
         calls = []
