@@ -63,7 +63,11 @@ class Dag:
     are dense from 0, children live at smaller ids, and no two ids hold equal
     nodes. A build grows one Dag by table lookups and freezes it on handoff,
     dropping the dict: a frozen Dag, as build_dag returns, refuses lookups.
+    eval_dag keeps its last walk's input names, input objects and values in
+    ``_memo``, so a Dag holds its last binding's values alive.
     """
+
+    _memo = None
 
     def __init__(self) -> None:
         self._ids = _NodeTable()

@@ -6,6 +6,7 @@ order, can only ever reference earlier lines.
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Iterable
 
 from .dag import Dag, NodeId
@@ -13,11 +14,21 @@ from .interp import _HALF, _MASK, Env, UnboundVariableError
 
 
 def eval_dag(dag: Dag, root: NodeId, env: Env) -> int:
-    """Evaluate bottom-up in id order, each node once, by evaluate's rule:
-    values mod 2**64, and only the root's value signed to 64 bits."""
+    """Evaluate the whole Dag in id order, each node once, by evaluate's rule:
+    values mod 2**64, only the root's signed to 64 bits. Every var node is an
+    input that env must bind to an int; the first failure in id order raises.
+    A later call whose env holds the same int objects reuses the values."""
     dag.node(root)
-    values: list[int] = []
-    for node in dag._nodes[: root + 1]:
+    memo = dag._memo
+    if memo is not None and len(memo[2]) == len(dag._nodes):
+        names, inputs, values = memo
+        try:
+            if all(map(is_, map(env.__getitem__, names), inputs)):
+                return (values[root] + _HALF & _MASK) - _HALF
+        except KeyError:
+            pass
+    names, inputs, values = [], [], []
+    for node in dag._nodes:
         match node:
             case ("add", left, right):
                 values.append((values[left] + values[right]) & _MASK)
@@ -30,13 +41,15 @@ def eval_dag(dag: Dag, root: NodeId, env: Env) -> int:
                     raise UnboundVariableError(name) from None
                 if type(value) is not int:
                     raise TypeError(f"value of {name} must be an int, not {type(value).__name__}")
+                names.append(name)
+                inputs.append(value)
                 values.append(value & _MASK)
             case ("neg", operand):
                 values.append(-values[operand] & _MASK)
             case ("sub", left, right):
                 values.append((values[left] - values[right]) & _MASK)
-    value = values[root]
-    return (value + _HALF & _MASK) - _HALF
+    dag._memo = names, inputs, values
+    return (values[root] + _HALF & _MASK) - _HALF
 
 
 def emit_netlist(dag: Dag, roots: Iterable[NodeId]) -> str:

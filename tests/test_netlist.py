@@ -75,6 +75,63 @@ class TestEvalDag:
             eval_dag(dag, root + 1, {"i1": 5})
 
 
+class TestEvalDagMemo:
+    """eval_dag walks a Dag once per binding of its inputs: a later call whose
+    env holds the same int objects answers from the stored values."""
+
+    def test_every_forest_root_is_its_prefix_sum_from_one_walk(self):
+        roots, dag = build_forest(lambda b: sklansky_shared(b, [b.variable(f"x{i}") for i in range(256)]))
+        env = {f"x{i}": 1000 + i for i in range(256)}
+        assert eval_dag(dag, roots[0], env) == 1000
+        values = dag._memo[2]
+        assert len(values) == len(dag)
+        for k, root in enumerate(roots):
+            assert eval_dag(dag, root, env) == sum(range(1000, 1001 + k))
+            assert dag._memo[2] is values
+
+    def test_an_env_changed_in_place_gives_the_new_value(self):
+        root, dag = build_dag(exp_mul4)
+        env = {"i1": 5}
+        assert eval_dag(dag, root, env) == 20
+        env["i1"] = 2**70 + 6
+        assert eval_dag(dag, root, env) == 24
+        assert eval_dag(dag, root, env) == 24
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_an_equal_non_int_after_a_hit_is_a_type_error(self, value):
+        root, dag = build_dag(lambda b: b.add(b.variable("x"), b.constant(1)))
+        env = {"x": 1}
+        assert eval_dag(dag, root, env) == eval_dag(dag, root, env) == 2
+        env["x"] = value
+        with pytest.raises(TypeError, match=f"value of x must be an int, not {type(value).__name__}"):
+            eval_dag(dag, root, env)
+
+    def test_a_dag_that_gains_nodes_is_walked_again(self):
+        dag = Dag()
+        x = dag.hashcons(("var", "x"))
+        root = dag.hashcons(("add", x, x))
+        env = {"x": 3}
+        assert eval_dag(dag, root, env) == 6
+        root = dag.hashcons(("neg", root))
+        assert eval_dag(dag, root, env) == -6
+        assert len(dag._memo[2]) == len(dag)
+        dag.hashcons(("var", "y"))
+        with pytest.raises(UnboundVariableError) as err:
+            eval_dag(dag, root, env)
+        assert err.value.name == "y"
+
+    def test_a_forest_root_needs_every_input_of_its_dag(self):
+        # The netlist's rule: another root's input is an input all the same.
+        roots, dag = build_forest(lambda b: [b.variable("y"), b.add(b.variable("x"), b.constant(1))])
+        with pytest.raises(UnboundVariableError) as err:
+            eval_dag(dag, roots[1], {"x": 1})
+        assert err.value.name == "y"
+        assert eval_dag(dag, roots[1], {"x": 1, "y": 2}) == 2
+        with pytest.raises(UnboundVariableError) as err:
+            eval_dag(dag, roots[0], {"y": 2})
+        assert err.value.name == "x"
+
+
 class TestEmitNetlist:
     def test_mul4(self):
         root, dag = build_dag(exp_mul4)
@@ -146,10 +203,18 @@ class TestBackendCost:
 
     def test_eval_dag_calls_nothing_per_node(self, forest):
         roots, dag = forest
-        env = {f"x{i}": i for i in range(256)}
+        # New int objects, so the first call walks; the second reuses it.
+        env = {f"x{i}": 2**64 + i for i in range(256)}
+        before = dag._memo
         value, calls = helpers.python_calls(lambda: eval_dag(dag, roots[-1], env))
         assert value == sum(range(256))
         assert calls <= 3
+        assert dag._memo is not before
+        memo = dag._memo
+        value, calls = helpers.python_calls(lambda: eval_dag(dag, roots[-2], env))
+        assert value == sum(range(255))
+        assert calls <= 3
+        assert dag._memo is memo
 
     def test_emit_threeaddr_calls_nothing_per_node(self, forest):
         roots, dag = forest

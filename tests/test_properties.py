@@ -4,13 +4,13 @@ parser round trip."""
 import importlib.util
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exprdag.builders import lower_to_tree
 from exprdag.dag import Dag, DagBuilder, build_dag, build_forest
 from exprdag.generators import mul, mul_shared, sklansky, sklansky_shared
-from exprdag.interp import evaluate, print_flat, print_let, size
+from exprdag.interp import UnboundVariableError, evaluate, print_flat, print_let, size
 from exprdag.netlist import emit_netlist, emit_threeaddr, eval_dag
 from exprdag.parser import elaborate, parse
 
@@ -81,6 +81,14 @@ def asts(with_neg_sub=True, with_let=True, siblings=False, with_neg=True):
 envs = st.fixed_dictionaries({name: wide_ints for name in NAMES})
 partial_envs = st.dictionaries(st.sampled_from(NAMES), wide_ints)
 
+# let t0 = x in let t1 = y in t0 under {x: 1}: an unused let bound's input
+# is an input all the same, so evaluate raises for y, and so must eval_dag,
+# though the root is the node of x.
+UNREACHED_INPUT = (
+    ("let", "t0", ("var", "x"), ("let", "t1", ("var", "y"), ("var", "t0"))),
+    {"x": 1},
+)
+
 
 @given(asts(), envs)
 def test_evaluate_agrees_with_the_recursive_oracle(ast, env):
@@ -122,11 +130,20 @@ def test_a_fused_let_term_prints_in_host_code_as_the_builder_terms_do(ast):
     assert fused == print_let(aliased(helpers.generic_program_of(ast)))
 
 
-@given(asts(), envs)
+@given(asts(), partial_envs)
+@example(*UNREACHED_INPUT)
 def test_dag_evaluation_agrees_with_direct_evaluation(ast, env):
+    # An outcome is a value, or the first error's type and text. The second
+    # call answers from the stored values, and the third env's new int
+    # objects make eval_dag walk the Dag again.
     program = helpers.program_of(ast)
     root, dag = build_dag(program)
-    assert eval_dag(dag, root, env) == evaluate(program, env)
+    expected = helpers.outcome(lambda: evaluate(program, env))
+    assert helpers.outcome(lambda: eval_dag(dag, root, env)) == expected
+    assert helpers.outcome(lambda: eval_dag(dag, root, env)) == expected
+    env = {name: value + 1 for name, value in env.items()}
+    expected = helpers.outcome(lambda: evaluate(program, env))
+    assert helpers.outcome(lambda: eval_dag(dag, root, env)) == expected
 
 
 @given(asts(with_let=False), envs)
@@ -268,6 +285,26 @@ def test_an_independent_reference_agrees_with_every_evaluator(ast, env):
     assert reference.run_netlist(emit_netlist(dag, [root]), env) == [value]
     assert reference.run_threeaddr(emit_threeaddr(dag, root), env) == value
     assert reference.eval_text(print_let(program), env) == value
+
+
+@given(asts(siblings=True), partial_envs)
+@example(*UNREACHED_INPUT)
+def test_an_independent_reference_stops_at_the_same_unbound_input(ast, env):
+    # Under a partial env, evaluate and eval_dag name the same first unbound
+    # input, and the reference's runners stop at that input of the listings.
+    program = helpers.program_of(ast)
+    root, dag = build_dag(program)
+    try:
+        value = evaluate(program, env)
+    except UnboundVariableError as err:
+        expected = UnboundVariableError, str(err)
+        listed = outs = reference.Mismatch, f"unbound input {err.name!r}"
+    else:
+        expected = listed = value
+        outs = [value]
+    assert helpers.outcome(lambda: eval_dag(dag, root, env)) == expected
+    assert helpers.outcome(lambda: reference.run_netlist(emit_netlist(dag, [root]), env)) == outs
+    assert helpers.outcome(lambda: reference.run_threeaddr(emit_threeaddr(dag, root), env)) == listed
 
 
 @given(asts())
