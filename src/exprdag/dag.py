@@ -7,14 +7,16 @@ smaller ids. A node is a plain kind-tagged tuple such as
 nodes as tuples. A DagBuilder term is a function from the node table of the
 Dag under construction to the term's node id. Consing a node is one lookup
 in that table, which stores the node on a miss, and a leaf term runs no
-Python frame at all. The explicit sharing form runs its
-bound expression once and replicates its id, and a let term is built once
-per build however many roots reach it; that is what makes compact programs
-build in time proportional to the DAG rather than to the expanded tree. A
-build makes no reference cycles, so build_forest, and build_dag through it,
-runs with the cyclic garbage collector paused: its thousands of short-lived
-closures are freed by reference counting, and no collection traverses them
-mid-build.
+Python frame at all. The explicit sharing form runs its bound expression
+once and replicates its id, and a let term is built once per build however
+many roots reach it; that is what makes compact programs build in time
+proportional to the DAG rather than to the expanded tree. A build makes no
+reference cycles, so build_forest, and build_dag through it, runs with the
+cyclic garbage collector paused: its thousands of short-lived closures are
+freed by reference counting, and no collection traverses them mid-build.
+
+A parsed tree becomes nodes a second way: ``_cons`` conses it at once, since
+it shares only through its lets and has no host alias to build again.
 """
 
 from __future__ import annotations
@@ -164,6 +166,45 @@ class DagBuilder(FullBuilder[DagTerm]):
             return node_id
 
         return run
+
+
+def _cons(ids, scope, ast):
+    """elaborate's walk for an exact DagBuilder: cons the tree ``ast`` into
+    the node table ``ids`` and return its id. ``scope`` maps a name to the id
+    of the innermost let in reach binding it, or to None. A let runs its body
+    once, at once, so it saves the entry it shadows and restores it after,
+    where the builder's terms keep a persistent chain. Nodes are consed in
+    the order those terms would cons them: after their children, left to
+    right, and a let's bound first."""
+    kind = ast[0] if type(ast) is tuple else None
+    if kind == "add" or kind == "sub":  # the tree's tag is the node's tag
+        return ids[kind, _cons(ids, scope, ast[1]), _cons(ids, scope, ast[2])]
+    if kind == "var":
+        name = ast[1]
+        node = scope.get(name)
+        if node is not None:
+            return node
+        if type(name) is not str or not name:
+            require_name(name)
+        return ids["var", name]
+    if kind == "const":
+        if type(ast[1]) is not int:
+            require_int(ast[1])
+        return ids["const", ast[1]]
+    if kind == "let":
+        name = ast[1]
+        bound = _cons(ids, scope, ast[2])
+        outer = scope.get(name)
+        scope[name] = bound
+        node = _cons(ids, scope, ast[3])
+        scope[name] = outer
+        return node
+    if kind == "neg":
+        operand = ast[1]
+        if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
+            return ids["const", -operand[1]]
+        return ids["neg", _cons(ids, scope, operand)]
+    raise TypeError(f"not an expression tree: {ast!r}")
 
 
 def build_dag(program: Program) -> tuple[NodeId, Dag]:

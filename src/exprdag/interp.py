@@ -68,6 +68,35 @@ def evaluate(program: Program, env: Env) -> int:
     return (value + _HALF & _MASK) - _HALF
 
 
+def _evaluate(builder, scope, ast):
+    """elaborate's walk for an exact Evaluator: the tree ``ast``'s value mod
+    2**64, as an Evaluator term. ``scope`` maps a let-bound name to its
+    value, as in ``dag._cons``. Leaves call the builder."""
+    kind = ast[0] if type(ast) is tuple else None
+    if kind == "add" or kind == "sub":
+        left = _evaluate(builder, scope, ast[1])
+        right = _evaluate(builder, scope, ast[2])
+        return (left + right if kind == "add" else left - right) & _MASK
+    if kind == "var":
+        value = scope.get(ast[1])
+        return builder.variable(ast[1]) if value is None else value
+    if kind == "const":
+        return builder.constant(ast[1])
+    if kind == "let":
+        bound = _evaluate(builder, scope, ast[2])
+        outer = scope.get(ast[1])
+        scope[ast[1]] = bound
+        value = _evaluate(builder, scope, ast[3])
+        scope[ast[1]] = outer
+        return value
+    if kind == "neg":
+        operand = ast[1]
+        if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
+            return builder.constant(-operand[1])
+        return -_evaluate(builder, scope, operand) & _MASK
+    raise TypeError(f"not an expression tree: {ast!r}")
+
+
 class SizeBuilder(FullBuilder[int]):
     """Counts constructors. A let_-bound expression is counted once: uses of
     the bound variable inside the body cost nothing."""
@@ -98,6 +127,32 @@ class SizeBuilder(FullBuilder[int]):
 @collector_paused
 def size(program: Program) -> int:
     return program(SizeBuilder())
+
+
+def _size(builder, scope, ast):
+    """elaborate's walk for an exact SizeBuilder: the size of the tree
+    ``ast``, scoped as in ``_evaluate``, where a let-bound name is worth 0,
+    the cost of a use."""
+    kind = ast[0] if type(ast) is tuple else None
+    if kind == "add" or kind == "sub":
+        return _size(builder, scope, ast[1]) + _size(builder, scope, ast[2]) + 1
+    if kind == "var":
+        return builder.variable(ast[1]) if scope.get(ast[1]) is None else 0
+    if kind == "const":
+        return builder.constant(ast[1])
+    if kind == "let":
+        bound = _size(builder, scope, ast[2])
+        outer = scope.get(ast[1])
+        scope[ast[1]] = 0
+        body = _size(builder, scope, ast[3])
+        scope[ast[1]] = outer
+        return bound + body
+    if kind == "neg":
+        operand = ast[1]
+        if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
+            return builder.constant(-operand[1])
+        return _size(builder, scope, operand) + 1
+    raise TypeError(f"not an expression tree: {ast!r}")
 
 
 class FlatPrinter(FullBuilder[str]):
@@ -188,11 +243,11 @@ class LetPrinter(FullBuilder[tuple]):
 def _show(builder, supply, scope, parts, ast, prec):
     """Append the text of ``ast``, a LetPrinter term or an expression tree,
     in a context that asks for level ``prec``, to the list ``parts`` and
-    return it. Binder names come from ``supply``, one iterator for the whole
-    rendering, after a binder's bound and before its body, so they are
-    distinct and increase left to right. ``scope`` maps a tree let's name to
-    its binder. A tree's leaves call ``builder`` for their checks and free
-    names."""
+    return it. Binder names are drawn from ``supply`` after a binder's bound
+    and before its body, so they increase left to right. ``scope`` is None
+    among LetPrinter terms and, in a tree, maps a let's name to its binder;
+    a tree's var or let among LetPrinter terms, or a LetPrinter term in a
+    tree, is a TypeError. Tree leaves call ``builder`` for checks and names."""
     kind = ast[0] if type(ast) is tuple else None
     if kind == "add" or kind == "sub":
         if prec > 1:
@@ -202,14 +257,14 @@ def _show(builder, supply, scope, parts, ast, prec):
         _show(builder, supply, scope, parts, ast[2], 0 if kind == "add" else 2)
         if prec > 1:
             parts.append(")")
-    elif kind is _TEXT:  # built at the level its context asks, or above
+    elif kind is _TEXT and scope is None:  # built at the level its context asks, or above
         parts.append(ast[2])
-    elif kind == "var":
+    elif kind == "var" and scope is not None:
         name = scope.get(ast[1])
         parts.append(builder.variable(ast[1])[2] if name is None else name)
     elif kind == "const":
         parts.append(builder.constant(ast[1])[2])
-    elif kind == "let":
+    elif kind == "let" and scope is not None:
         slot = len(parts)
         parts.append(None)  # "let NAME = ", once the bound is rendered
         _show(builder, supply, scope, parts, ast[2], 1)
@@ -222,7 +277,7 @@ def _show(builder, supply, scope, parts, ast, prec):
         scope[ast[1]] = outer
         if prec > 0:
             parts.append(")")
-    elif kind is _LET:
+    elif kind is _LET and scope is None:
         slot = len(parts)
         parts.append(None)
         if ast[1][0] is _TEXT:
@@ -244,8 +299,8 @@ def _show(builder, supply, scope, parts, ast, prec):
             _show(builder, supply, scope, parts, operand, 2)
             if prec > 1:
                 parts.append(")")
-    elif kind is _TREE:  # elaborate's term: a host neg over it folds no literal
-        _show(builder, supply, scope, parts, ast[1], prec)
+    elif kind is _TREE and scope is None:  # elaborate's term: a host neg over it folds no literal
+        _show(builder, supply, {}, parts, ast[1], prec)
     else:
         raise TypeError(f"not an expression tree: {ast!r}")
     return parts
@@ -270,15 +325,15 @@ def print_let(program: Program) -> str:
     tree, DAG or size. Binders are named ``v0, v1, ...``, skipping every
     free variable name so that no binder captures one. A let body's
     variables are only known once the body has been built during rendering,
-    so a rendering whose binders met a name found later in it is done again
-    with every free name known.
+    so a rendering whose binders met a name found later in it is done once
+    more with every free name known.
     """
     printer = LetPrinter()
     term = program(printer)
     if term[0] is _TEXT:
         return term[2]
-    drawn: list[str] = []
-    text = "".join(_show(printer, _binder_names(printer.free, drawn), {}, [], term, 0))
-    if printer.free.isdisjoint(drawn):
-        return text
-    return "".join(_show(printer, _binder_names(printer.free, []), {}, [], term, 0))
+    for last in (False, True):
+        drawn: list[str] = []
+        text = "".join(_show(printer, _binder_names(printer.free, drawn), None, [], term, 0))
+        if last or printer.free.isdisjoint(drawn):
+            return text

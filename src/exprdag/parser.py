@@ -20,14 +20,9 @@ scanning again with ``_TOKEN`` to the failing token's offset.
 
 ``elaborate`` dispatches on a tree node's tag and links a (name, term,
 parent) scope frame per let, not a copy, so it is linear in let depth; a
-name no let has bound skips the chain walk. On an exact DagBuilder,
-Evaluator or SizeBuilder it fuses with the interpreter, one frame per tree
-level and one dict as its scope, calling the builder only at leaves: a term
-that conses the tree into the node table, or the value or size at once. An
-exact LetPrinter gets the tree itself, for ``interp._show`` to render.
-DagBuilder defers every term so that a host alias is built again, as the
-paper's cost claim needs; a tree has no host aliases, since each subtree
-occurs once and shares only through its lets, so deferral buys nothing.
+name no let has bound skips the chain walk. An exact DagBuilder, Evaluator,
+SizeBuilder or LetPrinter instead gets the walk beside it that fuses a tree
+with its terms: ``dag._cons``, ``interp._evaluate``, ``_size`` or ``_show``.
 """
 
 from __future__ import annotations
@@ -35,9 +30,9 @@ from __future__ import annotations
 import re
 from functools import partial
 
-from .builders import FullBuilder, require_int, require_name
-from .dag import DagBuilder
-from .interp import _MASK, _TREE, Evaluator, LetPrinter, SizeBuilder
+from .builders import FullBuilder
+from .dag import DagBuilder, _cons
+from .interp import _TREE, Evaluator, LetPrinter, SizeBuilder, _evaluate, _size
 
 # ASCII only: \d, \w and \s would also admit other Unicode digits, letters
 # and spaces.
@@ -185,98 +180,6 @@ class _Elaborator:
     def let_body(self, ast, scope, term):
         """The body of the let node ``ast``, with its name bound to ``term``."""
         return self.elab(ast[3], (ast[1], term, scope))
-
-
-def _cons(ids, scope, ast):
-    """elaborate's walk for an exact DagBuilder: cons the tree ``ast`` into
-    the node table ``ids`` and return its id. ``scope`` maps a name to the id
-    of the innermost let in reach binding it, or to None. A let runs its body
-    once, at once, so it saves the entry it shadows and restores it after,
-    where _Elaborator keeps a persistent chain. Nodes are consed in the order
-    its terms would cons them: after their children, left to right, and a
-    let's bound first."""
-    kind = ast[0] if type(ast) is tuple else None
-    if kind == "add" or kind == "sub":  # the tree's tag is the node's tag
-        return ids[kind, _cons(ids, scope, ast[1]), _cons(ids, scope, ast[2])]
-    if kind == "var":
-        name = ast[1]
-        node = scope.get(name)
-        if node is not None:
-            return node
-        if type(name) is not str or not name:
-            require_name(name)
-        return ids["var", name]
-    if kind == "const":
-        if type(ast[1]) is not int:
-            require_int(ast[1])
-        return ids["const", ast[1]]
-    if kind == "let":
-        name = ast[1]
-        bound = _cons(ids, scope, ast[2])
-        outer = scope.get(name)
-        scope[name] = bound
-        node = _cons(ids, scope, ast[3])
-        scope[name] = outer
-        return node
-    if kind == "neg":
-        operand = ast[1]
-        if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
-            return ids["const", -operand[1]]
-        return ids["neg", _cons(ids, scope, operand)]
-    raise TypeError(f"not an expression tree: {ast!r}")
-
-
-def _evaluate(builder, scope, ast):
-    """elaborate's walk for an exact Evaluator: the tree ``ast``'s value mod
-    2**64, as an Evaluator term, scoped as in _cons. Leaves call the builder."""
-    kind = ast[0] if type(ast) is tuple else None
-    if kind == "add" or kind == "sub":
-        left = _evaluate(builder, scope, ast[1])
-        right = _evaluate(builder, scope, ast[2])
-        return (left + right if kind == "add" else left - right) & _MASK
-    if kind == "var":
-        value = scope.get(ast[1])
-        return builder.variable(ast[1]) if value is None else value
-    if kind == "const":
-        return builder.constant(ast[1])
-    if kind == "let":
-        bound = _evaluate(builder, scope, ast[2])
-        outer = scope.get(ast[1])
-        scope[ast[1]] = bound
-        value = _evaluate(builder, scope, ast[3])
-        scope[ast[1]] = outer
-        return value
-    if kind == "neg":
-        operand = ast[1]
-        if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
-            return builder.constant(-operand[1])
-        return -_evaluate(builder, scope, operand) & _MASK
-    raise TypeError(f"not an expression tree: {ast!r}")
-
-
-def _size(builder, scope, ast):
-    """elaborate's walk for an exact SizeBuilder: the size of the tree ``ast``,
-    scoped as in _cons, where a let-bound name is worth 0, the cost of a use."""
-    kind = ast[0] if type(ast) is tuple else None
-    if kind == "add" or kind == "sub":
-        return _size(builder, scope, ast[1]) + _size(builder, scope, ast[2]) + 1
-    if kind == "var":
-        return builder.variable(ast[1]) if scope.get(ast[1]) is None else 0
-    if kind == "const":
-        return builder.constant(ast[1])
-    if kind == "let":
-        bound = _size(builder, scope, ast[2])
-        outer = scope.get(ast[1])
-        scope[ast[1]] = 0
-        body = _size(builder, scope, ast[3])
-        scope[ast[1]] = outer
-        return bound + body
-    if kind == "neg":
-        operand = ast[1]
-        if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
-            return builder.constant(-operand[1])
-        return _size(builder, scope, operand) + 1
-    raise TypeError(f"not an expression tree: {ast!r}")
 
 
 def elaborate(ast: tuple, builder: FullBuilder):

@@ -5,6 +5,7 @@ from statistics import median
 
 import pytest
 
+from exprdag.dag import build_dag
 from exprdag.generators import mul, mul_shared
 from exprdag.interp import (
     UnboundVariableError,
@@ -223,6 +224,54 @@ class TestPrintLet:
             return b.add(shared, shared)
 
         assert print_let(program) == "let v0 = x in v0 + v0 + let v1 = x in v1 + v1"
+
+    @pytest.mark.parametrize(
+        "free, text, runs",
+        [("v0", "let v1 = x in v1 + v0", 2), ("y", "let v0 = x in v0 + y", 1)],
+        ids=["binder-meets-v0", "no-clash"],
+    )
+    def test_a_host_let_body_runs_once_per_rendering(self, free, text, runs):
+        # v0 is found only when the body runs, after v0 was drawn as the
+        # binder, so print_let renders a second time with v0 known.
+        calls = []
+
+        def program(b):
+            def body(v):
+                calls.append(v)
+                return b.add(v, b.variable(free))
+
+            return b.let_(b.variable("x"), body)
+
+        assert print_let(program) == text
+        assert len(calls) == runs
+
+    def test_a_second_rendering_is_the_last(self):
+        # The body names a free variable after how often it has run, so every
+        # rendering's binder meets a name found later in it.
+        calls = []
+
+        def program(b):
+            def body(v):
+                calls.append(v)
+                if len(calls) > 3:
+                    raise AssertionError("print_let rendered a third time")
+                return b.add(v, b.variable(f"v{len(calls) - 1}"))
+
+            return b.let_(b.variable("x"), body)
+
+        print_let(program)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "node", [("var", "y"), ("let", "a", ("var", "y"), ("var", "a"))], ids=["var", "let"]
+    )
+    def test_a_tree_node_in_a_host_term_is_refused(self, node):
+        # As evaluate, size and build_dag refuse it: a host program's terms
+        # come from the builder, and a tree's names need elaborate's scope.
+        program = lambda b: b.add(b.variable("x"), node)  # noqa: E731
+        for run in (print_let, size, build_dag, lambda p: evaluate(p, {"x": 3, "y": 5})):
+            with pytest.raises(TypeError):
+                run(program)
 
     def test_a_free_name_in_a_let_free_sibling_moves_the_binder(self):
         program = lambda b: b.sub(

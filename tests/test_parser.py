@@ -484,6 +484,35 @@ class TestFusedWalks:
         assert helpers.run_deep(lambda: size(program), limit=1_000, stack=0) == nodes
         assert helpers.run_deep(lambda: print_let(program), limit=1_000, stack=0) == text
 
+    # A builder's own term where a tree node belongs, in each place a node can
+    # sit, and the four kinds of term a program can put there.
+    PLACES = {
+        "left": lambda term: ("add", term, ("var", "y")),
+        "right": lambda term: ("sub", ("var", "y"), term),
+        "neg": lambda term: ("neg", term),
+        "let-bound": lambda term: ("let", "a", term, ("var", "a")),
+        "let-body": lambda term: ("let", "a", ("var", "y"), term),
+    }
+    TERMS = {
+        "variable": lambda b: b.variable("x"),
+        "constant": lambda b: b.constant(3),
+        "let": lambda b: b.let_(b.variable("x"), lambda v: b.add(v, v)),
+        "elaborated": lambda b: elaborate(("var", "x"), b),
+    }
+
+    @pytest.mark.parametrize("place", PLACES.values(), ids=PLACES.keys())
+    @pytest.mark.parametrize("term", TERMS.values(), ids=TERMS.keys())
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "generic"])
+    def test_a_builder_term_inside_a_tree_is_refused(self, place, term, fused):
+        # Types only: the message shows the term, whose repr holds an address.
+        def program(b):
+            tree = place(term(b))
+            return elaborate(tree, b) if fused else helpers.generic_program_of(tree)(b)
+
+        for run in (print_let, size, build_dag, lambda p: evaluate(p, {"x": 3, "y": 5})):
+            with pytest.raises(TypeError):
+                run(program)
+
     def test_a_subclass_gets_the_builder_terms(self):
         calls = []
 
