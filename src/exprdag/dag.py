@@ -6,8 +6,9 @@ smaller ids. A node is a plain kind-tagged tuple such as
 ``("add", left, right)``, so the hash-consing table hashes and compares
 nodes as tuples. A DagBuilder term is a function from the node table of the
 Dag under construction to the term's node id. Consing a node is one lookup
-in that table, which stores the node on a miss, and a leaf term runs no
-Python frame at all. The explicit sharing form runs its bound expression
+in that table, a ``defaultdict`` whose factory yields the next id, so a miss
+stores the node in C, the key order is the id order, and a leaf term runs
+no Python frame at all. The explicit sharing form runs its bound expression
 once and replicates its id, and a let term is built once per build however
 many roots reach it; that is what makes compact programs build in time
 proportional to the DAG rather than to the expanded tree. A build makes no
@@ -21,6 +22,8 @@ it shares only through its lets and has no host alias to build again.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import count, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -40,17 +43,6 @@ _KINDS = {
 }
 
 
-class _NodeTable(dict):
-    """A Dag's node-to-id dict: a miss appends the node to ``nodes``."""
-
-    __slots__ = ("nodes",)
-
-    def __missing__(self, node: tuple) -> NodeId:
-        node_id = self[node] = len(self.nodes)
-        self.nodes.append(node)
-        return node_id
-
-
 class _FrozenTable(dict):
     """A frozen Dag's empty table: every lookup is refused."""
 
@@ -61,19 +53,25 @@ class _FrozenTable(dict):
 class Dag:
     """A sharing-maximal node store: the hash-consing table.
 
-    A dict maps each node to its id and a list maps each id back to it. Ids
-    are dense from 0, children live at smaller ids, and no two ids hold equal
-    nodes. A build grows one Dag by table lookups and freezes it on handoff,
-    dropping the dict: a frozen Dag, as build_dag returns, refuses lookups.
-    eval_dag keeps its last walk's input names, input objects and values in
-    ``_memo``, so a Dag holds its last binding's values alive.
+    The table is a ``defaultdict`` from node to id whose factory counts from
+    0, so a miss stores the node at the next id in C, and its keys, in order,
+    are the nodes by id. Ids are dense from 0, children live at smaller ids,
+    and no two ids hold equal nodes. A build grows one Dag by table lookups
+    and freezes it on handoff, keeping the nodes as a list and dropping the
+    dict: a frozen Dag, as build_dag returns, refuses lookups. A Dag pickles
+    and copies as its nodes and whether it is frozen. eval_dag keeps its last
+    walk's input names, input objects and values in ``_memo``, so a Dag holds
+    its last binding's values alive; a copy drops them.
     """
 
     _memo = None
 
     def __init__(self) -> None:
-        self._ids = _NodeTable()
-        self._ids.nodes = self._nodes = []
+        self._ids = defaultdict(count().__next__)
+        self._nodes = self._ids.keys()  # a list once frozen
+
+    def __reduce__(self):
+        return _restore, (tuple(self._nodes), type(self._nodes) is list)
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -96,14 +94,17 @@ class Dag:
 
     def freeze(self) -> Dag:
         """Make every lookup raise RuntimeError, so no term can add to this Dag; return it."""
+        self._nodes = list(self._nodes)
         self._ids = _FrozenTable()
         return self
 
     def node(self, node_id: NodeId) -> tuple:
-        """The node at an id; an id that is not an int in range is a KeyError."""
-        if type(node_id) is not int or not 0 <= node_id < len(self._nodes):
+        """The node at an id; an id that is not an int in range is a KeyError.
+        Until the Dag is frozen, this walks its table up to the id."""
+        nodes = self._nodes
+        if type(node_id) is not int or not 0 <= node_id < len(nodes):
             raise KeyError(node_id)
-        return self._nodes[node_id]
+        return nodes[node_id] if type(nodes) is list else next(islice(nodes, node_id, None))
 
     def items(self) -> list[tuple[NodeId, tuple]]:
         return list(enumerate(self._nodes))
@@ -111,10 +112,18 @@ class Dag:
     def __eq__(self, other):
         if not isinstance(other, Dag):
             return NotImplemented
-        return self._nodes == other._nodes
+        return list(self._nodes) == list(other._nodes)
 
     def __repr__(self):
         return f"Dag({self.items()!r})"
+
+
+def _restore(nodes: tuple, frozen: bool) -> Dag:
+    """Unpickle a Dag: cons its nodes again into a new table."""
+    dag = Dag()
+    for node in nodes:
+        dag.hashcons(node)
+    return dag.freeze() if frozen else dag
 
 
 #: A DagBuilder term: a function of a Dag's node table that conses the term's
@@ -124,7 +133,7 @@ class Dag:
 #: the duplicates. A let_ term keeps the table it last ran on and the id it
 #: built there; a build runs every term on one table, so a let term that
 #: several roots reach is still built once per build.
-DagTerm = Callable[[_NodeTable], NodeId]
+DagTerm = Callable[[dict], NodeId]
 
 
 class DagBuilder(FullBuilder[DagTerm]):
@@ -138,11 +147,13 @@ class DagBuilder(FullBuilder[DagTerm]):
     """
 
     def constant(self, value):
-        require_int(value)
+        if type(value) is not int:
+            require_int(value)
         return itemgetter(("const", value))
 
     def variable(self, name):
-        require_name(name)
+        if type(name) is not str or not name:
+            require_name(name)
         return itemgetter(("var", name))
 
     def add(self, left, right):

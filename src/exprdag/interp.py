@@ -262,7 +262,7 @@ def _show(builder, supply, scope, parts, ast, prec):
     elif kind == "var" and scope is not None:
         name = scope.get(ast[1])
         parts.append(builder.variable(ast[1])[2] if name is None else name)
-    elif kind == "const":
+    elif kind == "const" and scope is not None:
         parts.append(builder.constant(ast[1])[2])
     elif kind == "let" and scope is not None:
         slot = len(parts)
@@ -292,7 +292,9 @@ def _show(builder, supply, scope, parts, ast, prec):
             parts.append(")")
     elif kind == "neg":
         operand = ast[1]
-        if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
+        if scope is not None and (
+            type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int
+        ):
             parts.append(builder.constant(-operand[1])[2])
         else:
             parts.append("(-" if prec > 1 else "-")
@@ -326,14 +328,19 @@ def print_let(program: Program) -> str:
     free variable name so that no binder captures one. A let body's
     variables are only known once the body has been built during rendering,
     so a rendering whose binders met a name found later in it is done once
-    more with every free name known.
+    more with every free name known. If that second rendering's binders
+    meet a name found later still, as when a body names a new variable each
+    time it runs, no text is returned: a binder would capture that name, so
+    print_let raises ValueError.
     """
     printer = LetPrinter()
     term = program(printer)
     if term[0] is _TEXT:
         return term[2]
-    for last in (False, True):
+    for _ in range(2):
         drawn: list[str] = []
         text = "".join(_show(printer, _binder_names(printer.free, drawn), None, [], term, 0))
-        if last or printer.free.isdisjoint(drawn):
+        if printer.free.isdisjoint(drawn):
             return text
+    clash = min(printer.free.intersection(drawn))
+    raise ValueError(f"binder {clash} would capture a free variable named on a later rendering")

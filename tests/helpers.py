@@ -4,12 +4,14 @@ Everything here recomputes results by direct recursion over trees, kept
 deliberately separate from the builder/interpreter code paths it checks.
 """
 
+import itertools
 import random
 import sys
 import threading
+from collections import defaultdict
 
 from exprdag.builders import FullBuilder
-from exprdag.dag import Dag, DagBuilder, _NodeTable
+from exprdag.dag import Dag, DagBuilder
 from exprdag.interp import Evaluator, SizeBuilder, print_let
 from exprdag.parser import _Elaborator, elaborate
 
@@ -166,9 +168,10 @@ def netlist_refs_are_backward(text):
     return True
 
 
-class CountingTable(_NodeTable):
-    """A node table that counts its lookups, hits and misses alike, and its
-    misses apart."""
+class CountingTable(defaultdict):
+    """A node table, as a Dag's, that counts its lookups, hits and misses
+    alike, and its misses apart. Being a Python subclass, it runs a frame
+    per lookup, as a Dag's own table does not."""
 
     calls = misses = 0
 
@@ -220,8 +223,8 @@ def counted_forest(program, builder=None):
     CountingBuilder by default) into a fresh Dag whose node table counts;
     return that Dag unfrozen, its table and the builder."""
     dag = Dag()
-    table = dag._ids = CountingTable()
-    table.nodes = dag._nodes
+    table = dag._ids = CountingTable(itertools.count().__next__)
+    dag._nodes = table.keys()
     builder = CountingBuilder() if builder is None else builder
     for term in program(builder):
         term(table)

@@ -1,5 +1,7 @@
 """The node store, hash-consing, and DAG construction."""
 
+import collections
+import copy
 import functools
 import pickle
 
@@ -19,6 +21,7 @@ def inputs(b, count):
     return [b.variable(f"i{k}") for k in range(count)]
 
 
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
 MUL4_ITEMS = [(0, ("var", "i1")), (1, ("add", 0, 0)), (2, ("add", 1, 1))]
 
 
@@ -146,6 +149,48 @@ class TestHashcons:
         assert again.hashcons(("add", 0, 1)) == 2
         assert again.items()[3:] == [(3, ("neg", 2)), (4, ("sub", 3, 0))]
         assert len(again) == 5 and len(dag) == 3
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [
+            *(
+                functools.partial(lambda p, dag: pickle.loads(pickle.dumps(dag, p)), protocol)
+                for protocol in PROTOCOLS
+            ),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=[f"pickle{p}" for p in PROTOCOLS] + ["copy", "deepcopy"],
+    )
+    def test_a_round_trip_keeps_the_nodes_and_whether_the_dag_is_frozen(self, round_trip):
+        b = DagBuilder()
+        term = b.add(b.variable("x"), b.constant(1))
+        dag = Dag()
+        assert term(dag._ids) == 2
+        again = round_trip(dag)
+        assert again is not dag and again == dag
+        # a plain defaultdict: a class-statement subclass pays more per subscript
+        assert type(dag._ids) is type(again._ids) is collections.defaultdict
+        assert b.neg(term)(again._ids) == 3
+        assert again.hashcons(("add", 0, 1)) == 2
+        assert len(again) == 4 and len(dag) == 3
+        assert again.node(3) == ("neg", 2)
+
+        frozen = round_trip(dag.freeze())
+        assert frozen is not dag and frozen == dag
+        assert frozen.items() == [(0, ("var", "x")), (1, ("const", 1)), (2, ("add", 0, 1))]
+        for run in (term, b.neg(term)):
+            with pytest.raises(RuntimeError, match="Dag is frozen"):
+                run(frozen._ids)
+        assert len(frozen) == 3
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_a_pickle_holds_no_itertools_object(self, protocol):
+        """Pickling an itertools object warns from Python 3.12 and fails
+        from 3.14, so a Dag pickles its nodes, not its table's counter."""
+        dag = Dag()
+        dag.hashcons(("var", "x"))
+        assert b"itertools" not in pickle.dumps(dag, protocol)
 
     def test_frozen_session_rejects_further_consing(self):
         dag = Dag()
@@ -308,10 +353,10 @@ class TestMulCost:
         "leaf", [lambda b: b.constant(7), lambda b: b.variable("x")], ids=["constant", "variable"]
     )
     def test_a_leaf_term_runs_no_python_frame(self, leaf):
-        """A leaf is an itemgetter: a hit runs no Python frame, and a miss
-        runs only the table's __missing__."""
+        """A leaf is an itemgetter and the table a defaultdict whose factory
+        is a C callable: neither a miss nor a hit runs a Python frame."""
         run = functools.partial(leaf(DagBuilder()), Dag()._ids)
-        assert helpers.python_calls(run) == (0, 1)
+        assert helpers.python_calls(run) == (0, 0)
         assert helpers.python_calls(run) == (0, 0)
 
 

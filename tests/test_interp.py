@@ -247,7 +247,8 @@ class TestPrintLet:
 
     def test_a_second_rendering_is_the_last(self):
         # The body names a free variable after how often it has run, so every
-        # rendering's binder meets a name found later in it.
+        # rendering's binder meets a name found later in it, and the second
+        # rendering's text would let binder v1 capture the free v1.
         calls = []
 
         def program(b):
@@ -259,11 +260,19 @@ class TestPrintLet:
 
             return b.let_(b.variable("x"), body)
 
-        print_let(program)
+        with pytest.raises(ValueError, match="^binder v1 would capture a free variable"):
+            print_let(program)
         assert len(calls) == 2
 
     @pytest.mark.parametrize(
-        "node", [("var", "y"), ("let", "a", ("var", "y"), ("var", "a"))], ids=["var", "let"]
+        "node",
+        [
+            ("var", "y"),
+            ("let", "a", ("var", "y"), ("var", "a")),
+            ("const", 3),
+            ("neg", ("const", 3)),
+        ],
+        ids=["var", "let", "const", "neg-const"],
     )
     def test_a_tree_node_in_a_host_term_is_refused(self, node):
         # As evaluate, size and build_dag refuse it: a host program's terms
