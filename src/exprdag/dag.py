@@ -98,12 +98,16 @@ class Dag:
         self._ids = _FrozenTable()
         return self
 
+    def _id(self, node_id: NodeId) -> NodeId:
+        """The id itself, if it is an int in range, else a KeyError; reads no node."""
+        if type(node_id) is not int or not 0 <= node_id < len(self._nodes):
+            raise KeyError(node_id)
+        return node_id
+
     def node(self, node_id: NodeId) -> tuple:
         """The node at an id; an id that is not an int in range is a KeyError.
         Until the Dag is frozen, this walks its table up to the id."""
-        nodes = self._nodes
-        if type(node_id) is not int or not 0 <= node_id < len(nodes):
-            raise KeyError(node_id)
+        nodes, node_id = self._nodes, self._id(node_id)
         return nodes[node_id] if type(nodes) is list else next(islice(nodes, node_id, None))
 
     def items(self) -> list[tuple[NodeId, tuple]]:
@@ -243,11 +247,9 @@ def format_dag(roots: NodeId | Iterable[NodeId], dag: Dag) -> str:
     The ``DAG BiMap[`` prefix is the paper's display form for the node table.
     A root that is not in the Dag is a KeyError.
     """
-
-    def checked(root):
-        dag.node(root)
-        return str(root)
-
-    head = checked(roots) if isinstance(roots, int) else "[" + ",".join(map(checked, roots)) + "]"
+    if isinstance(roots, int):
+        head = str(dag._id(roots))
+    else:
+        head = "[" + ",".join(map(str, map(dag._id, roots))) + "]"
     body = ",".join(f"({i},{_KINDS[node[0]][1].format(*node[1:])})" for i, node in dag.items())
     return f"({head},DAG BiMap[{body}])"

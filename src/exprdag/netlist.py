@@ -18,7 +18,7 @@ def eval_dag(dag: Dag, root: NodeId, env: Env) -> int:
     values mod 2**64, only the root's signed to 64 bits. Every var node is an
     input that env must bind to an int; the first failure in id order raises.
     A later call whose env holds the same int objects reuses the values."""
-    dag.node(root)
+    dag._id(root)
     memo = dag._memo
     if memo is not None and len(memo[2]) == len(dag._nodes):
         names, inputs, values = memo
@@ -68,15 +68,14 @@ def emit_netlist(dag: Dag, roots: Iterable[NodeId]) -> str:
             case ("sub", left, right):
                 lines.append(f"n{node_id} = sub n{left} n{right}\n")
     for root in roots:
-        dag.node(root)
-        lines.append(f"out n{root}\n")
+        lines.append(f"out n{dag._id(root)}\n")
     return "".join(lines)
 
 
 def emit_threeaddr(dag: Dag, root: NodeId) -> str:
     """Naive pseudo-assembly: one virtual register per node id, no register
     allocation, finished by a RET of the root's register."""
-    dag.node(root)
+    dag._id(root)
     lines = []
     for node_id, node in enumerate(dag._nodes):
         match node:

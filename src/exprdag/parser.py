@@ -13,8 +13,9 @@ outside the ASCII alphabet of the grammar, and ``str.split`` cuts the text,
 its operators and parentheses padded with spaces, into token strings, with
 ``""`` as the end marker. Recursive descent walks that list by index and
 compares strings; no token carries a position. ``split`` keeps a digit-led
-word such as ``1in`` whole, which ``_TOKEN`` cuts; such a word never
-parses, so a failing parse retries with ``_TOKEN``'s list if that differs. A
+word such as ``1in`` whole, which ``_TOKEN`` cuts; the lists agree before it.
+A term that meets one swaps in ``_TOKEN``'s tail in place and reads again, and
+an error names ``_TOKEN``'s token, so one descent serves both. A
 ``ParseError``'s line and column are computed only when it is raised, by
 scanning again with ``_TOKEN`` to the failing token's offset.
 
@@ -57,7 +58,7 @@ def _error_at(text: str, offset: int, message: str) -> ParseError:
 
 
 def _describe(token: str) -> str:
-    return repr(token) if token else "end of input"
+    return repr(_TOKEN.match(token).group()) if token else "end of input"
 
 
 def parse(text: str) -> tuple:
@@ -120,20 +121,17 @@ def parse(text: str) -> tuple:
             node = expr()
             expect(")", "')'")
             return node
+        if token[:1].isdigit():  # a digit-led word such as 1in, kept whole by split
+            pos -= 1
+            tokens[pos:] = _TOKEN.findall(text)[pos:] + [""]
+            return term()
         raise fail(pos - 1, f"expected an expression, found {_describe(token)}")
 
+    pos = 0
     try:
-        while True:
-            pos = 0
-            try:
-                node = expr()
-                expect("", "end of input")
-                return node
-            except ParseError:  # split() keeps a digit-led word such as 1in whole
-                retry = _TOKEN.findall(text) + [""]
-                if retry == tokens:
-                    raise
-                tokens = retry
+        node = expr()
+        expect("", "end of input")
+        return node
     finally:  # the closures name each other through cells: break that cycle
         fail = expect = expr = term = None
 

@@ -88,9 +88,9 @@ def test_a_forest_build_leaves_no_cyclic_garbage(collector):
     [
         ("let a = x + 1 in -a - (a + 2)", None),
         ("let a = in a", ParseError),
-        ("x 1in", ParseError),  # fails on str.split's tokens, then on _TOKEN's
+        ("x 1in", ParseError),  # fails at a digit-led word, naming its digits
     ],
-    ids=["program", "syntax-error", "retried-syntax-error"],
+    ids=["program", "syntax-error", "digit-led-syntax-error"],
 )
 def test_a_parse_leaves_no_cyclic_garbage(collector, text, error):
     gc.collect()

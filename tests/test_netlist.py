@@ -2,7 +2,8 @@
 
 import pytest
 
-from exprdag.dag import Dag, build_dag, build_forest
+import exprdag.dag
+from exprdag.dag import Dag, DagBuilder, build_dag, build_forest, format_dag
 from exprdag.generators import mul, sklansky, sklansky_shared
 from exprdag.interp import UnboundVariableError, evaluate
 from exprdag.netlist import emit_netlist, emit_threeaddr, eval_dag
@@ -238,3 +239,51 @@ def test_a_bool_root_is_a_key_error():
         emit_netlist(dag, [True])
     with pytest.raises(KeyError):
         emit_threeaddr(dag, True)
+
+
+def sklansky_forest(width, frozen):
+    """The roots and Dag of a sklansky_shared forest, built on a Dag that is
+    frozen only if asked: build_forest always freezes its own."""
+    builder = DagBuilder()
+    terms = sklansky_shared(builder, [builder.variable(f"x{i}") for i in range(width)])
+    dag = Dag()
+    roots = [term(dag._ids) for term in terms]
+    return roots, dag.freeze() if frozen else dag
+
+
+def reader_outputs(roots, dag):
+    """What format_dag, emit_netlist, emit_threeaddr and eval_dag give for a forest."""
+    env = {f"x{i}": i for i in range(len(roots))}
+    return (
+        format_dag(roots, dag),
+        emit_netlist(dag, roots),
+        [emit_threeaddr(dag, root) for root in roots[::64]],
+        [eval_dag(dag, root, env) for root in roots],
+    )
+
+
+class TestUnfrozenDag:
+    """The readers check a root without reading its node, so an unfrozen Dag,
+    whose table's keys cannot be indexed, serves them as a frozen one does."""
+
+    def test_the_readers_give_the_frozen_output_reading_no_node(self, monkeypatch):
+        frozen = reader_outputs(*sklansky_forest(256, frozen=True))
+
+        def refuse(*args):
+            raise AssertionError("a root check read a node")
+
+        monkeypatch.setattr(exprdag.dag, "islice", refuse)
+        assert reader_outputs(*sklansky_forest(256, frozen=False)) == frozen
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("root", [9, -1, True, 1.0])
+    def test_a_root_not_in_the_dag_is_a_key_error(self, root, frozen):
+        roots, dag = sklansky_forest(2, frozen)
+        with pytest.raises(KeyError):  # format_dag takes a lone root only as an int
+            format_dag([roots[0], root], dag)
+        with pytest.raises(KeyError):
+            emit_netlist(dag, [root])
+        with pytest.raises(KeyError):
+            emit_threeaddr(dag, root)
+        with pytest.raises(KeyError):
+            eval_dag(dag, root, {"x0": 1, "x1": 2})

@@ -121,12 +121,26 @@ class TestParse:
     def test_a_digit_led_word_is_a_literal_then_a_word(self):
         expected = ("let", "a", ("const", 1), ("add", ("var", "a"), ("var", "a")))
         assert parse("let a = 1in a + a") == expected
+        assert parse("let a = let b = 1 in 2in a + a") == parse("let a = let b = 1 in 2 in a + a")
 
+    def test_a_digit_led_word_is_read_in_the_same_descent(self):
+        """The switch to _TOKEN's tokens costs one frame, not a second parse."""
+        _, spaced = helpers.python_calls(lambda: parse("let a = 1 in a + a"))
+        _, joined = helpers.python_calls(lambda: parse("let a = 1in a + a"))
+        assert joined <= spaced + 1
+
+    # One case per place the descent reads a token: each names only the
+    # digits of a digit-led word, or the word after them once a term has
+    # read the digits.
     @pytest.mark.parametrize(
         "text, message",
         [
             ("x 1in", "1:3: expected end of input, found '1'"),
             ("let 1x = 2 in x", "1:5: expected a name to bind, found '1'"),
+            ("let a 1in", "1:7: expected '=', found '1'"),
+            ("let a = 1 1in", "1:11: expected 'in', found '1'"),
+            ("(1 2in)", "1:4: expected ')', found '2'"),
+            ("x + 1in", "1:6: expected end of input, found 'in'"),
         ],
     )
     def test_an_error_at_a_digit_led_word_names_its_digits(self, text, message):
