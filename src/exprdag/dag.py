@@ -23,9 +23,10 @@ it shares only through its lets and has no host alias to build again.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable
 from itertools import count, islice
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .builders import FullBuilder, Program, collector_paused, require_int, require_name
 
@@ -247,9 +248,9 @@ def format_dag(roots: NodeId | Iterable[NodeId], dag: Dag) -> str:
     The ``DAG BiMap[`` prefix is the paper's display form for the node table.
     A root that is not in the Dag is a KeyError.
     """
-    if isinstance(roots, int):
-        head = str(dag._id(roots))
-    else:
+    if isinstance(roots, Iterable):
         head = "[" + ",".join(map(str, map(dag._id, roots))) + "]"
+    else:
+        head = str(dag._id(roots))
     body = ",".join(f"({i},{_KINDS[node[0]][1].format(*node[1:])})" for i, node in dag.items())
     return f"({head},DAG BiMap[{body}])"

@@ -155,9 +155,29 @@ def _size(builder, scope, ast):
     raise TypeError(f"not an expression tree: {ast!r}")
 
 
+# A let-free text whose operands hold this many characters or more is a
+# rope: a tuple of pieces, each a str or a rope, that _join flattens once.
+# Host aliases then share the pieces, and no operator copies its operands.
+_ROPE_AT = 4096
+
+
+def _join(rope, parts):
+    """Append the strs of ``rope`` to ``parts`` in order and return it. An
+    explicit stack walks the rope, so its depth is bounded by memory."""
+    stack = [rope]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            parts.append(piece)
+        else:
+            stack.extend(piece[::-1])
+    return parts
+
+
 class FlatPrinter(FullBuilder[str]):
     """Renders infix text with no parentheses. Shared subterms are printed
-    again at every use, so output length follows the expanded tree."""
+    again at every use, so output length follows the expanded tree. A term
+    is its text, or a rope once its operands' text reaches ``_ROPE_AT``."""
 
     def constant(self, value):
         if type(value) is not int:
@@ -170,22 +190,30 @@ class FlatPrinter(FullBuilder[str]):
         return name
 
     def add(self, left, right):
-        return f"{left} + {right}"
+        if type(left) is str and type(right) is str and len(left) + len(right) < _ROPE_AT:
+            return f"{left} + {right}"
+        return (left, " + ", right)
 
     def neg(self, operand):
-        return f"-{operand}"
+        if type(operand) is str and len(operand) < _ROPE_AT:
+            return f"-{operand}"
+        return ("-", operand)
 
     def sub(self, left, right):
-        return f"{left} - {right}"
+        if type(left) is str and type(right) is str and len(left) + len(right) < _ROPE_AT:
+            return f"{left} - {right}"
+        return (left, " - ", right)
 
 
 @collector_paused
 def print_flat(program: Program) -> str:
-    return program(FlatPrinter())
+    text = program(FlatPrinter())
+    return text if type(text) is str else "".join(_join(text, []))
 
 
 # Heads of LetPrinter terms, which no expression tree can carry.
-_TEXT, _LET, _TREE = object(), object(), object()
+_TEXT, _ROPE, _LET, _TREE = object(), object(), object(), object()
+_TEXTS = (_TEXT, _ROPE)
 
 
 class LetPrinter(FullBuilder[tuple]):
@@ -194,10 +222,11 @@ class LetPrinter(FullBuilder[tuple]):
     Text carries a level (let 0, operator 1, atom 2), and a context asks for
     one: a term of a lower level brackets itself, which inserts the few
     parentheses that keep output re-parseable. A term with no let_ inside is
-    rendered as it is built, into ``(_TEXT, level, text)``, so host aliases
-    of it share one string; it is never below operator level, so only the
-    contexts that ask for an atom (a neg operand, a sub's right side) bracket
-    one, when they are built. Binder names are drawn in rendering order, so
+    rendered as it is built, into ``(_TEXT, level, text)``, or into
+    ``(_ROPE, level, rope)`` once its operands' text reaches ``_ROPE_AT``, so
+    host aliases of it share its text; it is never below operator level, so
+    only the contexts that ask for an atom (a neg operand, a sub's right
+    side) bracket one, when they are built. Binder names are drawn in rendering order, so
     a term with a let_ inside is left for ``_show``: let_ returns
     ``(_LET, bound, body)``, and an add, neg or sub over such a term returns
     the tree node ``(kind, left, right)`` or ``("neg", operand)``. ``free``
@@ -220,20 +249,28 @@ class LetPrinter(FullBuilder[tuple]):
         return (_TEXT, 2, name)
 
     def add(self, left, right):
-        if left[0] is _TEXT and right[0] is _TEXT:
+        if left[0] is _TEXT and right[0] is _TEXT and len(left[2]) + len(right[2]) < _ROPE_AT:
             return (_TEXT, 1, f"{left[2]} + {right[2]}")
+        if left[0] in _TEXTS and right[0] in _TEXTS:
+            return (_ROPE, 1, (left[2], " + ", right[2]))
         return ("add", left, right)
 
     def neg(self, operand):
-        if operand[0] is _TEXT:
+        if operand[0] is _TEXT and len(operand[2]) < _ROPE_AT:
             return (_TEXT, 1, f"-{operand[2]}" if operand[1] > 1 else f"-({operand[2]})")
+        if operand[0] in _TEXTS:
+            return (_ROPE, 1, ("-", operand[2]) if operand[1] > 1 else ("-(", operand[2], ")"))
         return ("neg", operand)
 
     def sub(self, left, right):
         if right[0] is _TEXT and right[1] < 2:
             right = (_TEXT, 2, f"({right[2]})")
-        if left[0] is _TEXT and right[0] is _TEXT:
+        elif right[0] is _ROPE:
+            right = (_ROPE, 2, ("(", right[2], ")"))
+        if left[0] is _TEXT and right[0] is _TEXT and len(left[2]) + len(right[2]) < _ROPE_AT:
             return (_TEXT, 1, f"{left[2]} - {right[2]}")
+        if left[0] in _TEXTS and right[0] in _TEXTS:
+            return (_ROPE, 1, (left[2], " - ", right[2]))
         return ("sub", left, right)
 
     def let_(self, bound, body):
@@ -259,6 +296,8 @@ def _show(builder, supply, scope, parts, ast, prec):
             parts.append(")")
     elif kind is _TEXT and scope is None:  # built at the level its context asks, or above
         parts.append(ast[2])
+    elif kind is _ROPE and scope is None:  # likewise
+        _join(ast[2], parts)
     elif kind == "var" and scope is not None:
         name = scope.get(ast[1])
         parts.append(builder.variable(ast[1])[2] if name is None else name)
@@ -337,6 +376,8 @@ def print_let(program: Program) -> str:
     term = program(printer)
     if term[0] is _TEXT:
         return term[2]
+    if term[0] is _ROPE:
+        return "".join(_join(term[2], []))
     for _ in range(2):
         drawn: list[str] = []
         text = "".join(_show(printer, _binder_names(printer.free, drawn), None, [], term, 0))

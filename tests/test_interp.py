@@ -1,6 +1,8 @@
 """Evaluator, size counter, and the two renderers."""
 
+import gc
 import time
+import tracemalloc
 from statistics import median
 
 import pytest
@@ -302,6 +304,18 @@ def host_let_chain(k):
     return program
 
 
+def let_free_sum(k):
+    """x + x1 + x2 + ... + x{k-1}, left-nested and built in host code."""
+
+    def program(b):
+        total = b.variable("x")
+        for index in range(1, k):
+            total = b.add(total, b.variable(f"x{index}"))
+        return total
+
+    return program
+
+
 class TestPrintLetCost:
     def test_an_aliased_let_free_term_is_rendered_once(self):
         n = 2**16 - 1
@@ -342,10 +356,35 @@ class TestPrintLetCost:
         assert median(ratios) <= 7, ratios
 
     def test_a_long_let_free_sum_prints_at_any_length(self):
-        def program(b):
-            total = b.variable("x")
-            for index in range(1, 5_000):
-                total = b.add(total, b.variable(f"x{index}"))
-            return total
+        text = " + ".join(["x"] + [f"x{i}" for i in range(1, 5_000)])
+        assert print_let(let_free_sum(5_000)) == text
 
-        assert print_let(program) == " + ".join(["x"] + [f"x{i}" for i in range(1, 5_000)])
+
+@pytest.mark.parametrize("printer", [print_let, print_flat])
+class TestLetFreeTextCost:
+    def test_a_long_let_free_text_is_copied_once(self, printer):
+        # Operands of 4 KiB or more join by reference, and their pieces are
+        # copied once, into the output. An operator that copied its operands'
+        # text would peak at about twice the output's size.
+        program = lambda b: mul(b, 2**16 - 1, b.variable("x"))  # noqa: E731
+        gc.collect()
+        tracemalloc.start()
+        try:
+            text = printer(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == " + ".join(["x"] * (2**16 - 1))
+        assert peak <= 1.25 * len(text), (peak, len(text))
+
+    def test_a_let_free_sum_prints_in_time_linear_in_its_length(self, printer):
+        # An operator that copied its operands' text would make the 4x longer
+        # sum about 12x slower. The sizes alternate, as in the let chain's gate.
+        def seconds(k):
+            program = let_free_sum(k)
+            start = time.perf_counter()
+            printer(program)
+            return time.perf_counter() - start
+
+        ratios = [seconds(40_000) / seconds(10_000) for _ in range(7)]
+        assert median(ratios) <= 7, ratios

@@ -279,7 +279,9 @@ class TestUnfrozenDag:
     @pytest.mark.parametrize("root", [9, -1, True, 1.0])
     def test_a_root_not_in_the_dag_is_a_key_error(self, root, frozen):
         roots, dag = sklansky_forest(2, frozen)
-        with pytest.raises(KeyError):  # format_dag takes a lone root only as an int
+        with pytest.raises(KeyError):
+            format_dag(root, dag)
+        with pytest.raises(KeyError):
             format_dag([roots[0], root], dag)
         with pytest.raises(KeyError):
             emit_netlist(dag, [root])

@@ -3,10 +3,12 @@ parser round trip."""
 
 import importlib.util
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exprdag import interp
 from exprdag.builders import lower_to_tree
 from exprdag.dag import Dag, DagBuilder, build_dag, build_forest
 from exprdag.generators import mul, mul_shared, sklansky, sklansky_shared
@@ -128,6 +130,21 @@ def test_a_fused_let_term_prints_in_host_code_as_the_builder_terms_do(ast):
 
     fused = print_let(aliased(helpers.program_of(ast)))
     assert fused == print_let(aliased(helpers.generic_program_of(ast)))
+
+
+@given(asts())
+@example(("sub", ("var", "x"), ("neg", ("add", ("var", "y"), ("const", -3)))))
+def test_ropes_render_the_text_of_strings(ast):
+    # With the rope size at 1, every let-free operator's text is a rope, in
+    # let bounds and bodies too, and the term's uses put one under a neg and
+    # on a sub's right side: this pins the brackets a rope carries.
+    def program(b):
+        t = helpers.generic_program_of(ast)(b)
+        return b.sub(b.neg(t), b.sub(t, t))
+
+    expected = helpers.outcome(lambda: print_let(program)), print_flat(program)
+    with mock.patch.object(interp, "_ROPE_AT", 1):
+        assert (helpers.outcome(lambda: print_let(program)), print_flat(program)) == expected
 
 
 @given(asts(), partial_envs)
