@@ -174,43 +174,6 @@ def _join(rope, parts):
     return parts
 
 
-class FlatPrinter(FullBuilder[str]):
-    """Renders infix text with no parentheses. Shared subterms are printed
-    again at every use, so output length follows the expanded tree. A term
-    is its text, or a rope once its operands' text reaches ``_ROPE_AT``."""
-
-    def constant(self, value):
-        if type(value) is not int:
-            require_int(value)
-        return str(value)
-
-    def variable(self, name):
-        if type(name) is not str or not name:
-            require_name(name)
-        return name
-
-    def add(self, left, right):
-        if type(left) is str and type(right) is str and len(left) + len(right) < _ROPE_AT:
-            return f"{left} + {right}"
-        return (left, " + ", right)
-
-    def neg(self, operand):
-        if type(operand) is str and len(operand) < _ROPE_AT:
-            return f"-{operand}"
-        return ("-", operand)
-
-    def sub(self, left, right):
-        if type(left) is str and type(right) is str and len(left) + len(right) < _ROPE_AT:
-            return f"{left} - {right}"
-        return (left, " - ", right)
-
-
-@collector_paused
-def print_flat(program: Program) -> str:
-    text = program(FlatPrinter())
-    return text if type(text) is str else "".join(_join(text, []))
-
-
 # Heads of LetPrinter terms, which no expression tree can carry.
 _TEXT, _ROPE, _LET, _TREE = object(), object(), object(), object()
 _TEXTS = (_TEXT, _ROPE)
@@ -226,8 +189,9 @@ class LetPrinter(FullBuilder[tuple]):
     ``(_ROPE, level, rope)`` once its operands' text reaches ``_ROPE_AT``, so
     host aliases of it share its text; it is never below operator level, so
     only the contexts that ask for an atom (a neg operand, a sub's right
-    side) bracket one, when they are built. Binder names are drawn in rendering order, so
-    a term with a let_ inside is left for ``_show``: let_ returns
+    side) bracket one, when they are built. FlatPrinter builds the same text
+    terms without brackets. Binder names are drawn in rendering order, so a
+    term with a let_ inside is left for ``_show``: let_ returns
     ``(_LET, bound, body)``, and an add, neg or sub over such a term returns
     the tree node ``(kind, left, right)`` or ``("neg", operand)``. ``free``
     collects every variable name the program uses, so print_let can keep
@@ -347,6 +311,33 @@ def _show(builder, supply, scope, parts, ast, prec):
     return parts
 
 
+class FlatPrinter(LetPrinter):
+    """LetPrinter's text terms with no brackets, and let_ substituting: a
+    shared subterm prints again at every use, as in the expanded tree."""
+
+    let_ = FullBuilder.let_
+
+    def neg(self, operand):
+        if operand[0] is _TEXT and len(operand[2]) < _ROPE_AT:
+            return (_TEXT, 1, f"-{operand[2]}")
+        if operand[0] in _TEXTS:
+            return (_ROPE, 1, ("-", operand[2]))
+        return ("neg", operand)
+
+    def sub(self, left, right):
+        if left[0] is _TEXT and right[0] is _TEXT and len(left[2]) + len(right[2]) < _ROPE_AT:
+            return (_TEXT, 1, f"{left[2]} - {right[2]}")
+        if left[0] in _TEXTS and right[0] in _TEXTS:
+            return (_ROPE, 1, (left[2], " - ", right[2]))
+        return ("sub", left, right)
+
+
+@collector_paused
+def print_flat(program: Program) -> str:
+    term = program(FlatPrinter())
+    return term[2] if term[0] is _TEXT else "".join(_show(None, None, None, [], term, 0))
+
+
 def _binder_names(skip: set[str], drawn: list[str]) -> Iterator[str]:
     """``v0, v1, ...`` minus the names in ``skip``, noting each one drawn."""
     for index in itertools.count():
@@ -361,16 +352,16 @@ def print_let(program: Program) -> str:
     """Render a program with its sharing shown as let bindings.
 
     One walk, ``_show``, renders the program's term into a list of parts
-    joined once, so a let copies none of its body's text. Parsed again, the
-    text has the program's value under every env, though not always its
-    tree, DAG or size. Binders are named ``v0, v1, ...``, skipping every
-    free variable name so that no binder captures one. A let body's
-    variables are only known once the body has been built during rendering,
-    so a rendering whose binders met a name found later in it is done once
-    more with every free name known. If that second rendering's binders
-    meet a name found later still, as when a body names a new variable each
-    time it runs, no text is returned: a binder would capture that name, so
-    print_let raises ValueError.
+    joined once, so a let copies none of its body's text. If every free name
+    is an ASCII identifier other than ``let`` and ``in``, the text parsed
+    again has the program's value under every env, though not always its
+    tree, DAG or size; parse rejects a text with any other, as ``1x``.
+    Binders are ``v0, v1, ...``, skipping every free name so that none is
+    captured. A let body's names are known only once rendering builds it,
+    so a rendering whose binders met a name found later in it is done again
+    with every free name known. If that second rendering's binders meet a
+    name found later still, as when a body names a new variable each time
+    it runs, a binder would capture it, so print_let raises ValueError.
     """
     printer = LetPrinter()
     term = program(printer)

@@ -280,9 +280,13 @@ class TestPrintLet:
         # As evaluate, size and build_dag refuse it: a host program's terms
         # come from the builder, and a tree's names need elaborate's scope.
         program = lambda b: b.add(b.variable("x"), node)  # noqa: E731
-        for run in (print_let, size, build_dag, lambda p: evaluate(p, {"x": 3, "y": 5})):
+        runs = (print_let, print_flat, size, build_dag, lambda p: evaluate(p, {"x": 3, "y": 5}))
+        for run in runs:
             with pytest.raises(TypeError):
                 run(program)
+        for printer in (print_let, print_flat):  # the node as the whole program
+            with pytest.raises(TypeError, match="not an expression tree"):
+                printer(lambda b: node)
 
     def test_a_free_name_in_a_let_free_sibling_moves_the_binder(self):
         program = lambda b: b.sub(

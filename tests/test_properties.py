@@ -184,6 +184,18 @@ def test_flat_and_let_printers_agree_when_no_lets_occur(ast):
     assert print_let(program) == print_flat(program)
 
 
+@given(asts(with_let=False))
+@example(("sub", ("neg", ("sub", ("var", "x"), ("const", -3))), ("neg", ("neg", ("var", "y")))))
+def test_flat_text_is_let_text_without_its_brackets(ast):
+    # FlatPrinter builds LetPrinter's text and puts no brackets in, at the
+    # default rope size and with every let-free operator's text a rope.
+    program = helpers.program_of(ast)
+    expected = print_let(program).replace("(", "").replace(")", "")
+    assert print_flat(program) == expected
+    with mock.patch.object(interp, "_ROPE_AT", 1):
+        assert print_flat(program) == expected
+
+
 def _has_let(ast):
     match ast:
         case ("let", _, _, _):
