@@ -126,7 +126,10 @@ class SizeBuilder(FullBuilder[int]):
 
 @collector_paused
 def size(program: Program) -> int:
-    return program(SizeBuilder())
+    result = program(SizeBuilder())
+    if type(result) is not int:
+        raise TypeError(f"not an expression tree: {result!r}")
+    return result
 
 
 def _size(builder, scope, ast):

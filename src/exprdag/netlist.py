@@ -1,7 +1,9 @@
 """Backends over frozen Dags: evaluation, netlist text, three-address text.
 
 Both emitters lean on the topological id order: one line per node, in id
-order, can only ever reference earlier lines.
+order, can only ever reference earlier lines. They read each id's text from
+_DECIMAL, one table kept for the whole process, which grows to the largest
+Dag emitted, at about 63 bytes per id, and is never shrunk.
 """
 
 from __future__ import annotations
@@ -11,6 +13,10 @@ from typing import Iterable
 
 from .dag import Dag, NodeId
 from .interp import _HALF, _MASK, Env, UnboundVariableError
+
+# Item i is str(i). It grows only by replacement, so an emitter holding its
+# own reference never sees a half-grown table, whatever other threads do.
+_DECIMAL: list[str] = []
 
 
 def eval_dag(dag: Dag, root: NodeId, env: Env) -> int:
@@ -54,40 +60,48 @@ def eval_dag(dag: Dag, root: NodeId, env: Env) -> int:
 
 def emit_netlist(dag: Dag, roots: Iterable[NodeId]) -> str:
     """One line per node in id order, then one "out" line per root."""
+    global _DECIMAL
+    d, n = _DECIMAL, len(dag._nodes)
+    if len(d) < n:
+        d = _DECIMAL = [*d, *map(str, range(len(d), n))]
     lines = []
-    for node_id, node in enumerate(dag._nodes):
+    for node_id, node in zip(d, dag._nodes):
         match node:
             case ("add", left, right):
-                lines.append(f"n{node_id} = add n{left} n{right}\n")
+                lines.append(f"n{node_id} = add n{d[left]} n{d[right]}\n")
             case ("const", value):
                 lines.append(f"n{node_id} = const {value}\n")
             case ("var", name):
                 lines.append(f"n{node_id} = input {name}\n")
             case ("neg", operand):
-                lines.append(f"n{node_id} = neg n{operand}\n")
+                lines.append(f"n{node_id} = neg n{d[operand]}\n")
             case ("sub", left, right):
-                lines.append(f"n{node_id} = sub n{left} n{right}\n")
+                lines.append(f"n{node_id} = sub n{d[left]} n{d[right]}\n")
     for root in roots:
-        lines.append(f"out n{dag._id(root)}\n")
+        lines.append(f"out n{d[dag._id(root)]}\n")
     return "".join(lines)
 
 
 def emit_threeaddr(dag: Dag, root: NodeId) -> str:
     """Naive pseudo-assembly: one virtual register per node id, no register
     allocation, finished by a RET of the root's register."""
+    global _DECIMAL
     dag._id(root)
+    d, n = _DECIMAL, len(dag._nodes)
+    if len(d) < n:
+        d = _DECIMAL = [*d, *map(str, range(len(d), n))]
     lines = []
-    for node_id, node in enumerate(dag._nodes):
+    for node_id, node in zip(d, dag._nodes):
         match node:
             case ("add", left, right):
-                lines.append(f"ADD r{node_id}, r{left}, r{right}\n")
+                lines.append(f"ADD r{node_id}, r{d[left]}, r{d[right]}\n")
             case ("const", value):
                 lines.append(f"LOADI r{node_id}, {value}\n")
             case ("var", name):
                 lines.append(f"LOADV r{node_id}, {name}\n")
             case ("neg", operand):
-                lines.append(f"NEG r{node_id}, r{operand}\n")
+                lines.append(f"NEG r{node_id}, r{d[operand]}\n")
             case ("sub", left, right):
-                lines.append(f"SUB r{node_id}, r{left}, r{right}\n")
-    lines.append(f"RET r{root}\n")
+                lines.append(f"SUB r{node_id}, r{d[left]}, r{d[right]}\n")
+    lines.append(f"RET r{d[root]}\n")
     return "".join(lines)

@@ -143,6 +143,11 @@ class TestSize:
     def test_neg_sub(self):
         assert size(lambda b: b.neg(b.sub(b.variable("x"), b.constant(1)))) == 4
 
+    @pytest.mark.parametrize("result", [(), 1.5, True, None])
+    def test_a_result_that_is_not_an_int_is_refused(self, result):
+        with pytest.raises(TypeError, match="not an expression tree"):
+            size(lambda b: result)
+
 
 class TestPrintFlat:
     def test_mul4(self):
@@ -284,9 +289,9 @@ class TestPrintLet:
         for run in runs:
             with pytest.raises(TypeError):
                 run(program)
-        for printer in (print_let, print_flat):  # the node as the whole program
+        for run in (print_let, print_flat, size):  # the node as the whole program
             with pytest.raises(TypeError, match="not an expression tree"):
-                printer(lambda b: node)
+                run(lambda b: node)
 
     def test_a_free_name_in_a_let_free_sibling_moves_the_binder(self):
         program = lambda b: b.sub(

@@ -1,12 +1,19 @@
 """DAG evaluation and the two text backends."""
 
+import sys
+import threading
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import exprdag.dag
+from exprdag import netlist
 from exprdag.dag import Dag, DagBuilder, build_dag, build_forest, format_dag
 from exprdag.generators import mul, sklansky, sklansky_shared
 from exprdag.interp import UnboundVariableError, evaluate
 from exprdag.netlist import emit_netlist, emit_threeaddr, eval_dag
+from exprdag.parser import elaborate
 
 import helpers
 
@@ -229,6 +236,17 @@ class TestBackendCost:
         assert len(text.splitlines()) == len(dag) + len(roots)
         assert calls <= len(roots) + 3
 
+    def test_growing_the_id_table_calls_nothing_per_node(self, forest, monkeypatch):
+        roots, dag = forest
+        monkeypatch.setattr(netlist, "_DECIMAL", [])
+        text, calls = helpers.python_calls(lambda: emit_threeaddr(dag, roots[-1]))
+        assert text == threeaddr_oracle(dag, roots[-1])
+        assert calls <= 3
+        monkeypatch.setattr(netlist, "_DECIMAL", [])
+        text, calls = helpers.python_calls(lambda: emit_netlist(dag, roots))
+        assert text == netlist_oracle(dag, roots)
+        assert calls <= len(roots) + 3
+
 
 def test_a_bool_root_is_a_key_error():
     """True equals the id 1 but is not an id."""
@@ -289,3 +307,91 @@ class TestUnfrozenDag:
             emit_threeaddr(dag, root)
         with pytest.raises(KeyError):
             eval_dag(dag, root, {"x0": 1, "x1": 2})
+
+
+OPCODES = {"add": "ADD", "sub": "SUB", "neg": "NEG", "const": "LOADI", "var": "LOADV"}
+
+
+def netlist_oracle(dag, roots):
+    """emit_netlist's text, each id formatted on its own."""
+    lines = []
+    for node_id, (kind, *args) in dag.items():
+        if kind == "var":
+            lines.append(f"n{node_id} = input {args[0]}\n")
+        elif kind == "const":
+            lines.append(f"n{node_id} = const {args[0]}\n")
+        else:
+            lines.append(f"n{node_id} = {kind} " + " ".join(f"n{arg}" for arg in args) + "\n")
+    return "".join(lines) + "".join(f"out n{root}\n" for root in roots)
+
+
+def threeaddr_oracle(dag, root):
+    """emit_threeaddr's text, each id formatted on its own."""
+    lines = []
+    for node_id, (kind, *args) in dag.items():
+        operands = args if kind in ("var", "const") else [f"r{arg}" for arg in args]
+        lines.append(f"{OPCODES[kind]} r{node_id}, " + ", ".join(f"{op}" for op in operands) + "\n")
+    return "".join(lines) + f"RET r{root}\n"
+
+
+def forest_of(asts):
+    return build_forest(lambda b: [elaborate(ast, b) for ast in asts])
+
+
+class TestIdTable:
+    """Both emitters read id text from one table, netlist._DECIMAL, that
+    grows to the largest Dag emitted and is only ever replaced."""
+
+    @given(st.randoms(use_true_random=False))
+    def test_large_small_larger_from_an_empty_table(self, rng):
+        asts = [helpers.random_ast(rng, rng.randint(0, 7)) for _ in range(rng.randint(1, 12))]
+        # A fresh input makes the last forest larger than the first.
+        forests = [forest_of(asts), forest_of(asts[:1]), forest_of(asts + [("var", "fresh")])]
+        assert len(forests[1][1]) <= len(forests[0][1]) < len(forests[2][1])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(netlist, "_DECIMAL", [])
+            for roots, dag in forests:
+                assert emit_netlist(dag, roots) == netlist_oracle(dag, roots)
+                for root in roots:
+                    assert emit_threeaddr(dag, root) == threeaddr_oracle(dag, root)
+
+    def test_a_table_held_before_growth_is_left_as_it_was(self, monkeypatch):
+        monkeypatch.setattr(netlist, "_DECIMAL", [])
+        root, dag = build_dag(exp_mul4)
+        emit_threeaddr(dag, root)
+        held = netlist._DECIMAL
+        assert held == ["0", "1", "2"]
+        roots, dag = sklansky_forest(64, frozen=True)
+        assert emit_netlist(dag, roots) == netlist_oracle(dag, roots)
+        assert held == ["0", "1", "2"]
+        assert netlist._DECIMAL == [str(i) for i in range(len(dag))]
+
+    def test_two_threads_growing_the_table_emit_correct_text(self, monkeypatch):
+        monkeypatch.setattr(netlist, "_DECIMAL", [])
+        work = [sklansky_forest(width, frozen=True) for width in (16, 64)]
+        wrong = []
+
+        def emit(roots, dag):
+            netlist_text, threeaddr_text = netlist_oracle(dag, roots), threeaddr_oracle(dag, roots[-1])
+            for _ in range(300):
+                # Back to empty each time, so every call grows the table.
+                netlist._DECIMAL = []
+                try:
+                    texts = emit_netlist(dag, roots), emit_threeaddr(dag, roots[-1])
+                except IndexError as err:
+                    texts = err
+                if texts != (netlist_text, threeaddr_text):
+                    wrong.append(len(dag))
+
+        threads = [threading.Thread(target=emit, args=forest) for forest in work]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
