@@ -239,7 +239,12 @@ def build_forest(program: Callable[[DagBuilder], Sequence[DagTerm]]) -> tuple[li
     """
     terms = program(DagBuilder())
     dag = Dag()
-    return [term(dag._ids) for term in terms], dag.freeze()
+    roots = []
+    for term in terms:
+        if not callable(term):
+            raise TypeError(f"not an expression tree: {term!r}")
+        roots.append(term(dag._ids))
+    return roots, dag.freeze()
 
 
 def format_dag(roots: NodeId | Iterable[NodeId], dag: Dag) -> str:

@@ -65,21 +65,27 @@ class Evaluator(FullBuilder[int]):
 def evaluate(program: Program, env: Env) -> int:
     """Evaluate a program under an environment, wrapping to signed 64 bits."""
     value = program(Evaluator(env))
+    if type(value) is not int:
+        raise TypeError(f"not an expression tree: {value!r}")
     return (value + _HALF & _MASK) - _HALF
 
 
 def _evaluate(builder, scope, ast):
     """elaborate's walk for an exact Evaluator: the tree ``ast``'s value mod
     2**64, as an Evaluator term. ``scope`` maps a let-bound name to its
-    value, as in ``dag._cons``. Leaves call the builder."""
+    value, as in ``dag._cons``, and a free name to the builder's value for it
+    once asked, so each free name is asked once; a let restores the entry it
+    shadows. Constants call the builder."""
     kind = ast[0] if type(ast) is tuple else None
+    if kind == "var":
+        value = scope.get(ast[1])
+        if value is None:
+            value = scope[ast[1]] = builder.variable(ast[1])
+        return value
     if kind == "add" or kind == "sub":
         left = _evaluate(builder, scope, ast[1])
         right = _evaluate(builder, scope, ast[2])
         return (left + right if kind == "add" else left - right) & _MASK
-    if kind == "var":
-        value = scope.get(ast[1])
-        return builder.variable(ast[1]) if value is None else value
     if kind == "const":
         return builder.constant(ast[1])
     if kind == "let":
@@ -135,12 +141,15 @@ def size(program: Program) -> int:
 def _size(builder, scope, ast):
     """elaborate's walk for an exact SizeBuilder: the size of the tree
     ``ast``, scoped as in ``_evaluate``, where a let-bound name is worth 0,
-    the cost of a use."""
+    the cost of a use, and a free name 1, the builder's answer."""
     kind = ast[0] if type(ast) is tuple else None
+    if kind == "var":
+        nodes = scope.get(ast[1])
+        if nodes is None:
+            nodes = scope[ast[1]] = builder.variable(ast[1])
+        return nodes
     if kind == "add" or kind == "sub":
         return _size(builder, scope, ast[1]) + _size(builder, scope, ast[2]) + 1
-    if kind == "var":
-        return builder.variable(ast[1]) if scope.get(ast[1]) is None else 0
     if kind == "const":
         return builder.constant(ast[1])
     if kind == "let":
@@ -216,28 +225,37 @@ class LetPrinter(FullBuilder[tuple]):
         return (_TEXT, 2, name)
 
     def add(self, left, right):
-        if left[0] is _TEXT and right[0] is _TEXT and len(left[2]) + len(right[2]) < _ROPE_AT:
-            return (_TEXT, 1, f"{left[2]} + {right[2]}")
-        if left[0] in _TEXTS and right[0] in _TEXTS:
-            return (_ROPE, 1, (left[2], " + ", right[2]))
+        try:
+            if left[0] is _TEXT and right[0] is _TEXT and len(left[2]) + len(right[2]) < _ROPE_AT:
+                return (_TEXT, 1, f"{left[2]} + {right[2]}")
+            if left[0] in _TEXTS and right[0] in _TEXTS:
+                return (_ROPE, 1, (left[2], " + ", right[2]))
+        except IndexError:  # only an empty tuple has no kind to read
+            raise TypeError("not an expression tree: ()") from None
         return ("add", left, right)
 
     def neg(self, operand):
-        if operand[0] is _TEXT and len(operand[2]) < _ROPE_AT:
-            return (_TEXT, 1, f"-{operand[2]}" if operand[1] > 1 else f"-({operand[2]})")
-        if operand[0] in _TEXTS:
-            return (_ROPE, 1, ("-", operand[2]) if operand[1] > 1 else ("-(", operand[2], ")"))
+        try:
+            if operand[0] is _TEXT and len(operand[2]) < _ROPE_AT:
+                return (_TEXT, 1, f"-{operand[2]}" if operand[1] > 1 else f"-({operand[2]})")
+            if operand[0] in _TEXTS:
+                return (_ROPE, 1, ("-", operand[2]) if operand[1] > 1 else ("-(", operand[2], ")"))
+        except IndexError:  # only an empty tuple has no kind to read
+            raise TypeError("not an expression tree: ()") from None
         return ("neg", operand)
 
     def sub(self, left, right):
-        if right[0] is _TEXT and right[1] < 2:
-            right = (_TEXT, 2, f"({right[2]})")
-        elif right[0] is _ROPE:
-            right = (_ROPE, 2, ("(", right[2], ")"))
-        if left[0] is _TEXT and right[0] is _TEXT and len(left[2]) + len(right[2]) < _ROPE_AT:
-            return (_TEXT, 1, f"{left[2]} - {right[2]}")
-        if left[0] in _TEXTS and right[0] in _TEXTS:
-            return (_ROPE, 1, (left[2], " - ", right[2]))
+        try:
+            if right[0] is _TEXT and right[1] < 2:
+                right = (_TEXT, 2, f"({right[2]})")
+            elif right[0] is _ROPE:
+                right = (_ROPE, 2, ("(", right[2], ")"))
+            if left[0] is _TEXT and right[0] is _TEXT and len(left[2]) + len(right[2]) < _ROPE_AT:
+                return (_TEXT, 1, f"{left[2]} - {right[2]}")
+            if left[0] in _TEXTS and right[0] in _TEXTS:
+                return (_ROPE, 1, (left[2], " - ", right[2]))
+        except IndexError:  # only an empty tuple has no kind to read
+            raise TypeError("not an expression tree: ()") from None
         return ("sub", left, right)
 
     def let_(self, bound, body):
@@ -249,11 +267,17 @@ def _show(builder, supply, scope, parts, ast, prec):
     in a context that asks for level ``prec``, to the list ``parts`` and
     return it. Binder names are drawn from ``supply`` after a binder's bound
     and before its body, so they increase left to right. ``scope`` is None
-    among LetPrinter terms and, in a tree, maps a let's name to its binder;
+    among LetPrinter terms and, in a tree, maps a let's name to its binder
+    and a free name to its text, from ``builder`` once, as in ``_evaluate``;
     a tree's var or let among LetPrinter terms, or a LetPrinter term in a
-    tree, is a TypeError. Tree leaves call ``builder`` for checks and names."""
+    tree, is a TypeError."""
     kind = ast[0] if type(ast) is tuple else None
-    if kind == "add" or kind == "sub":
+    if scope is not None and kind == "var":
+        name = scope.get(ast[1])
+        if name is None:
+            name = scope[ast[1]] = builder.variable(ast[1])[2]
+        parts.append(name)
+    elif kind == "add" or kind == "sub":
         if prec > 1:
             parts.append("(")
         _show(builder, supply, scope, parts, ast[1], 0)
@@ -265,9 +289,6 @@ def _show(builder, supply, scope, parts, ast, prec):
         parts.append(ast[2])
     elif kind is _ROPE and scope is None:  # likewise
         _join(ast[2], parts)
-    elif kind == "var" and scope is not None:
-        name = scope.get(ast[1])
-        parts.append(builder.variable(ast[1])[2] if name is None else name)
     elif kind == "const" and scope is not None:
         parts.append(builder.constant(ast[1])[2])
     elif kind == "let" and scope is not None:
@@ -321,23 +342,31 @@ class FlatPrinter(LetPrinter):
     let_ = FullBuilder.let_
 
     def neg(self, operand):
-        if operand[0] is _TEXT and len(operand[2]) < _ROPE_AT:
-            return (_TEXT, 1, f"-{operand[2]}")
-        if operand[0] in _TEXTS:
-            return (_ROPE, 1, ("-", operand[2]))
+        try:
+            if operand[0] is _TEXT and len(operand[2]) < _ROPE_AT:
+                return (_TEXT, 1, f"-{operand[2]}")
+            if operand[0] in _TEXTS:
+                return (_ROPE, 1, ("-", operand[2]))
+        except IndexError:  # only an empty tuple has no kind to read
+            raise TypeError("not an expression tree: ()") from None
         return ("neg", operand)
 
     def sub(self, left, right):
-        if left[0] is _TEXT and right[0] is _TEXT and len(left[2]) + len(right[2]) < _ROPE_AT:
-            return (_TEXT, 1, f"{left[2]} - {right[2]}")
-        if left[0] in _TEXTS and right[0] in _TEXTS:
-            return (_ROPE, 1, (left[2], " - ", right[2]))
+        try:
+            if left[0] is _TEXT and right[0] is _TEXT and len(left[2]) + len(right[2]) < _ROPE_AT:
+                return (_TEXT, 1, f"{left[2]} - {right[2]}")
+            if left[0] in _TEXTS and right[0] in _TEXTS:
+                return (_ROPE, 1, (left[2], " - ", right[2]))
+        except IndexError:  # only an empty tuple has no kind to read
+            raise TypeError("not an expression tree: ()") from None
         return ("sub", left, right)
 
 
 @collector_paused
 def print_flat(program: Program) -> str:
     term = program(FlatPrinter())
+    if type(term) is not tuple or not term:
+        raise TypeError(f"not an expression tree: {term!r}")
     return term[2] if term[0] is _TEXT else "".join(_show(None, None, None, [], term, 0))
 
 
@@ -368,6 +397,8 @@ def print_let(program: Program) -> str:
     """
     printer = LetPrinter()
     term = program(printer)
+    if type(term) is not tuple or not term:
+        raise TypeError(f"not an expression tree: {term!r}")
     if term[0] is _TEXT:
         return term[2]
     if term[0] is _ROPE:

@@ -4,6 +4,7 @@ import collections
 import copy
 import functools
 import pickle
+import re
 
 import pytest
 
@@ -296,6 +297,21 @@ class TestBuildForest:
         roots, dag = build_forest(lambda b: [])
         assert roots == []
         assert len(dag) == 0
+
+    @pytest.mark.parametrize("result", [("var", "y"), True, 1.5, None], ids=repr)
+    def test_a_root_that_is_not_a_term_is_named(self, result):
+        message = f"^not an expression tree: {re.escape(repr(result))}$"
+        with pytest.raises(TypeError, match=message):
+            build_dag(lambda b: result)
+        with pytest.raises(TypeError, match=message):
+            build_forest(lambda b: [b.variable("x"), result])
+
+    def test_a_type_error_inside_a_term_propagates_unchanged(self):
+        def term(ids):
+            raise TypeError("raised inside the term")
+
+        with pytest.raises(TypeError, match="^raised inside the term$"):
+            build_dag(lambda b: b.add(b.variable("x"), term))
 
     def test_two_copies_of_one_program_share_everything(self):
         def pair(b):

@@ -1,6 +1,7 @@
 """Evaluator, size counter, and the two renderers."""
 
 import gc
+import re
 import time
 import tracemalloc
 from statistics import median
@@ -10,6 +11,9 @@ import pytest
 from exprdag.dag import build_dag
 from exprdag.generators import mul, mul_shared
 from exprdag.interp import (
+    Evaluator,
+    LetPrinter,
+    SizeBuilder,
     UnboundVariableError,
     evaluate,
     print_flat,
@@ -112,6 +116,12 @@ class TestEvaluate:
         with pytest.raises(UnboundVariableError) as err:
             evaluate(lambda b: [b.variable("z"), b.constant(1)][1], {})
         assert err.value.name == "z"
+
+    @pytest.mark.parametrize("result", [(), 1.5, True, None])
+    def test_a_result_that_is_not_an_int_is_refused(self, result):
+        message = f"^not an expression tree: {re.escape(repr(result))}$"
+        with pytest.raises(TypeError, match=message):
+            evaluate(lambda b: result, {})
 
     def test_values_wrap_at_64_bits(self):
         # Each step wraps to signed 64 bits, in a host program and through
@@ -293,6 +303,24 @@ class TestPrintLet:
             with pytest.raises(TypeError, match="not an expression tree"):
                 run(lambda b: node)
 
+    @pytest.mark.parametrize(
+        "program",
+        [
+            lambda b: (),
+            lambda b: b.add(b.variable("x"), ()),
+            lambda b: b.add((), b.variable("x")),
+            lambda b: b.neg(()),
+            lambda b: b.sub(b.variable("x"), ()),
+            lambda b: b.sub((), b.variable("x")),
+        ],
+        ids=["program", "add-right", "add-left", "neg", "sub-right", "sub-left"],
+    )
+    def test_an_empty_tuple_is_refused(self, program):
+        # As evaluate, size and build_dag refuse it, with a TypeError.
+        for run in (print_let, print_flat):
+            with pytest.raises(TypeError, match=r"^not an expression tree: \(\)$"):
+                run(program)
+
     def test_a_free_name_in_a_let_free_sibling_moves_the_binder(self):
         program = lambda b: b.sub(
             b.let_(b.variable("z"), lambda v: b.add(v, v)),
@@ -397,3 +425,57 @@ class TestLetFreeTextCost:
 
         ratios = [seconds(40_000) / seconds(10_000) for _ in range(7)]
         assert median(ratios) <= 7, ratios
+
+
+class TestFusedWalkFreeNames:
+    """elaborate's walks on an exact Evaluator, SizeBuilder or LetPrinter ask
+    the builder about a free name at its first use in the walk only."""
+
+    @pytest.mark.parametrize(
+        "builder, run, result",
+        [
+            (Evaluator, lambda program: evaluate(program, {"x": 3}), 1_500),
+            (SizeBuilder, size, 999),
+            (LetPrinter, print_let, " + ".join(["x"] * 500)),
+        ],
+        ids=["evaluate", "size", "print_let"],
+    )
+    def test_a_walk_asks_the_builder_once_per_free_name(self, monkeypatch, builder, run, result):
+        asked = []
+        variable = builder.variable
+
+        def counted(self, name):
+            asked.append(name)
+            return variable(self, name)
+
+        monkeypatch.setattr(builder, "variable", counted)
+        tree = parse(" + ".join(["x"] * 500))
+        assert run(helpers.program_of(tree)) == result
+        assert asked == ["x"]
+        asked.clear()  # the builder's terms ask at every use
+        assert run(helpers.generic_program_of(tree)) == result
+        assert asked == ["x"] * 500
+
+    def test_evaluate_reads_each_free_name_from_the_env_once(self):
+        # 199 uses of y and 2 of x, among 200 lets
+        tree, env = parse(helpers.LETS_200), CountingEnv(x=3, y=5)
+        assert evaluate(helpers.program_of(tree), env) == helpers.surface_eval(tree, dict(env))
+        assert env.lookups == 2
+
+    @pytest.mark.parametrize(
+        "text, value, nodes, shown",
+        [
+            # x is asked before the let that shadows it, and keeps its answer after
+            ("x + (let x = 2 in x) + x", 2, 5, "x + let v0 = 2 in v0 + x"),
+            # a let-bound value and size of 0 are answers, not misses
+            ("(let x = 0 in x) + x", 0, 3, "let v0 = 0 in v0 + x"),
+        ],
+        ids=["asked-before-the-let", "first-asked-after-the-let"],
+    )
+    def test_a_let_shadowing_a_free_name_walks_as_the_builder_terms_do(
+        self, text, value, nodes, shown
+    ):
+        tree = parse(text)
+        assert helpers.fused_outcomes(tree, {"x": 0}) == (value, nodes)
+        helpers.fused_outcomes(tree, {"x": 5})  # a let-bound 0 is then not the env's value
+        assert helpers.shown_outcome(tree) == shown
