@@ -269,8 +269,9 @@ def _show(builder, supply, scope, parts, ast, prec):
     and before its body, so they increase left to right. ``scope`` is None
     among LetPrinter terms and, in a tree, maps a let's name to its binder
     and a free name to its text, from ``builder`` once, as in ``_evaluate``;
-    a tree's var or let among LetPrinter terms, or a LetPrinter term in a
-    tree, is a TypeError."""
+    a tree's var or let among LetPrinter terms, a LetPrinter term in a tree,
+    or an empty tuple as a let_'s bound or its body's result, is a
+    TypeError."""
     kind = ast[0] if type(ast) is tuple else None
     if scope is not None and kind == "var":
         name = scope.get(ast[1])
@@ -305,6 +306,8 @@ def _show(builder, supply, scope, parts, ast, prec):
         if prec > 0:
             parts.append(")")
     elif kind is _LET and scope is None:
+        if not ast[1]:  # such as (), which has no kind to read
+            raise TypeError(f"not an expression tree: {ast[1]!r}")
         slot = len(parts)
         parts.append(None)
         if ast[1][0] is _TEXT:
@@ -314,7 +317,10 @@ def _show(builder, supply, scope, parts, ast, prec):
         name = next(supply)
         parts[slot] = f"(let {name} = " if prec > 0 else f"let {name} = "
         parts.append(" in ")
-        _show(builder, supply, scope, parts, ast[2]((_TEXT, 2, name)), 0)
+        body = ast[2]((_TEXT, 2, name))
+        if not body:
+            raise TypeError(f"not an expression tree: {body!r}")
+        _show(builder, supply, scope, parts, body, 0)
         if prec > 0:
             parts.append(")")
     elif kind == "neg":

@@ -1,11 +1,13 @@
-"""Shared oracles and random-program machinery for the test suite.
+"""Shared oracles, random-program machinery and the CLI's process runner
+for the test suite.
 
-Everything here recomputes results by direct recursion over trees, kept
-deliberately separate from the builder/interpreter code paths it checks.
+The oracles recompute results by direct recursion over trees, kept
+deliberately separate from the builder/interpreter code paths they check.
 """
 
 import itertools
 import random
+import subprocess
 import sys
 import threading
 from collections import defaultdict
@@ -345,6 +347,17 @@ def random_ast(rng: random.Random, max_depth: int, scope=()):
 
 def random_env(rng: random.Random):
     return {name: rng.randint(-(10**9), 10**9) for name in FREE_NAMES}
+
+
+def run_module(argv, stdin="", **options):
+    """Run ``python -m exprdag *argv`` in a new interpreter fed ``stdin``, and
+    return its exit code, stdout and stderr as text. The child imports the
+    exprdag that its inherited import path finds: the checkout under
+    ``PYTHONPATH=src``, the installed package without it."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "exprdag", *argv], input=stdin, capture_output=True, text=True, **options
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def program_of(ast):

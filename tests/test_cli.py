@@ -1,9 +1,16 @@
-"""The command-line front end."""
+"""The command-line front end.
+
+``CONTRACT`` is the CLI's contract, one row per case: argv, stdin, exit
+code, stdout and stderr. Every row runs in process through ``cli.main`` and
+in a new interpreter through ``python -m exprdag``, and both must give the
+row exactly. Run from outside the checkout without ``PYTHONPATH=src``, this
+file checks the installed package.
+"""
 
 import contextlib
 import io
 import os
-import subprocess
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -15,45 +22,114 @@ from hypothesis import strategies as st
 
 from exprdag.cli import main
 
+import helpers
+
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
     # A byte buffer underneath, as on a real stdin, since main reads .buffer
     stdin = io.TextIOWrapper(io.BytesIO(stdin.encode()), encoding="utf-8")
     monkeypatch.setattr(sys, "stdin", stdin)
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as stop:  # argparse's usage errors
+        code = stop.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
+SHARED = "let y = i1 + i1 in y + y\n"
+SHADOWED = "let a = x in let a = a + a in a - x\n"
+ASKED_AROUND = "x + (let x = 2 in x) + x\n"
+NETLIST = "n0 = input i1\nn1 = add n0 n0\nn2 = add n1 n1\nout n2\n"
+INT64_MAX, INT64_MIN = str(2**63 - 1), str(-(2**63))
+
+CONTRACT = [
+    (["eval", "--var", "i1=5"], SHARED, 0, "20\n", ""),
+    (["eval", "--var", "i1=5", "-"], SHARED, 0, "20\n", ""),
+    (["eval"], "7", 0, "7\n", ""),
+    (["eval", "--var", "x=1", "--var", "y=7", "--var", "x=2"], "x - y", 0, "-6\n", ""),
+    # Values wrap to signed 64 bits: at the top, the bottom and under neg.
+    (["eval", "--var", f"x={INT64_MAX}"], "x + 1\n", 0, f"{INT64_MIN}\n", ""),
+    (["eval", "--var", f"x={INT64_MIN}"], "x - 1\n", 0, f"{INT64_MAX}\n", ""),
+    (["eval", "--var", f"x={INT64_MIN}"], "-x\n", 0, f"{INT64_MIN}\n", ""),
+    # A digit-led word such as 1in is a literal and then a word, also deep
+    # inside the descent.
+    (["eval"], "let a = let b = 1 in 2in a + a\n", 0, "4\n", ""),
+    (["compile"], "let a = 1in a + a\n", 0, "n0 = const 1\nn1 = add n0 n0\nout n1\n", ""),
+    # Shadowing, then a name free again after its let's body, through
+    # elaborate's fused walks.
+    (["eval", "--var", "x=5"], SHADOWED, 0, "5\n", ""),
+    (["size"], SHADOWED, 0, "4\n", ""),
+    # A free name used before and after a let that shadows it: the fused
+    # walks ask the builder about it once and keep its answer.
+    (["eval", "--var", "x=5"], ASKED_AROUND, 0, "12\n", ""),
+    (["size"], ASKED_AROUND, 0, "5\n", ""),
+    (["show"], ASKED_AROUND, 0, "x + let v0 = 2 in v0 + x\n", ""),
+    (["show"], SHARED, 0, "let v0 = i1 + i1 in v0 + v0\n", ""),
+    (["size"], SHARED, 0, "4\n", ""),
+    # A binder that meets a free name found later is renamed; a let bound to
+    # a let, and a let or a neg on a sub's right side, are bracketed.
+    (["show"], "let a = x in a + v0\n", 0, "let v1 = x in v1 + v0\n", ""),
+    (
+        ["show"],
+        "let a = (let b = x in b + b) in a - -3\n",
+        0,
+        "let v1 = (let v0 = x in v0 + v0) in v1 - -3\n",
+        "",
+    ),
+    (["show"], "x - (let a = y in a + a)\n", 0, "x - (let v0 = y in v0 + v0)\n", ""),
+    (["show"], "-(3) - -(x - let b = 2 in b)\n", 0, "-3 - (-(x - (let v0 = 2 in v0)))\n", ""),
+    (["compile"], SHARED, 0, NETLIST, ""),
+    (["compile", "--format", "netlist"], SHARED, 0, NETLIST, ""),
+    (
+        ["compile", "--format", "dag"],
+        SHARED,
+        0,
+        '(2,DAG BiMap[(0,NVar "i1"),(1,NAdd 0 0),(2,NAdd 1 1)])\n',
+        "",
+    ),
+    (["compile", "--format", "threeaddr"], "5", 0, "LOADI r0, 5\nRET r0\n", ""),
+    # The last field is the median build time in ms.
+    (
+        ["bench", "--gen", "mul-shared", "--n", "20", "--repeat", "1"],
+        "",
+        0,
+        re.compile(r"mul-shared,20,6,\d+\.\d{3}\n"),
+        "",
+    ),
+    # An error is one line on stderr and nothing on stdout: exit 3 for an
+    # unbound name, 2 for the rest.
+    (["eval"], "x", 3, "", "error: unbound variable: x\n"),
+    (["eval", "--var", "x=1"], "(let y = 2 in y) + y\n", 3, "", "error: unbound variable: y\n"),
+    (["eval"], "let in x", 2, "", "error: 1:5: reserved word 'in' cannot be used as a name\n"),
+    (["compile", "--format", "dag"], "((", 2, "", "error: 1:3: expected an expression, found end of input\n"),
+    (["compile"], "x 1in\n", 2, "", "error: 1:3: expected end of input, found '1'\n"),
+    (["compile"], "x 0x\n", 2, "", "error: 1:3: expected end of input, found '0'\n"),
+    (["bench", "--gen", "mul", "--n", "-1"], "", 2, "", "error: --n must be >= 0\n"),
+    (["eval", "--var", "oops"], "1", 2, "", "error: argument --var: expected NAME=VALUE, got 'oops'\n"),
+    (["eval", "--var", "x=12a"], "x", 2, "", "error: argument --var: value for 'x' must be an integer\n"),
+    # 5,000 digits is past CPython's default int-to-string limit of 4,300
+    (["eval", "--var", "x=" + "1" * 5000], "x", 2, "", "error: argument --var: value for 'x' is too long\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, out, err",
+    CONTRACT,
+    ids=[f"{' '.join(argv)[:40]} < {stdin.strip()}" for argv, stdin, *_ in CONTRACT],
+)
+@pytest.mark.parametrize("way", ["main", "python -m"])
+def test_the_cli_contract(capsys, monkeypatch, way, argv, stdin, code, out, err):
+    if way == "main":
+        outcome = run_cli(capsys, monkeypatch, argv, stdin)
+    else:
+        outcome = helpers.run_module(argv, stdin)
+    if isinstance(out, re.Pattern) and out.fullmatch(outcome[1]):
+        outcome = (outcome[0], out, outcome[2])
+    assert outcome == (code, out, err)
+
+
 class TestEval:
-    def test_shared_program_with_binding(self, capsys, monkeypatch):
-        code, out, _ = run_cli(
-            capsys, monkeypatch, ["eval", "--var", "i1=5"], stdin="let y = i1+i1 in y+y"
-        )
-        assert code == 0
-        assert out == "20\n"
-
-    def test_plain_constant(self, capsys, monkeypatch):
-        code, out, _ = run_cli(capsys, monkeypatch, ["eval"], stdin="7")
-        assert code == 0
-        assert out == "7\n"
-
-    def test_unbound_variable_exits_3_and_names_it(self, capsys, monkeypatch):
-        code, out, err = run_cli(capsys, monkeypatch, ["eval"], stdin="x")
-        assert code == 3
-        assert "x" in err
-
-    def test_parse_error_exits_2(self, capsys, monkeypatch):
-        code, _, err = run_cli(capsys, monkeypatch, ["eval"], stdin="let in x")
-        assert code == 2
-        assert err
-
-    def test_first_binding_of_a_name_wins(self, capsys, monkeypatch):
-        argv = ["eval", "--var", "x=1", "--var", "y=7", "--var", "x=2"]
-        code, out, _ = run_cli(capsys, monkeypatch, argv, stdin="x - y")
-        assert code == 0
-        assert out == "-6\n"
-
     def test_program_from_file(self, capsys, monkeypatch, tmp_path):
         source = tmp_path / "prog.expr"
         source.write_text("10 + i1", encoding="utf-8")
@@ -81,18 +157,11 @@ class TestEval:
         source.write_bytes(b"x + \xff")
         env = {**os.environ, "PYTHONIOENCODING": "latin-1"}
         runs = [
-            subprocess.run(
-                [sys.executable, "-m", "exprdag", "compile", path],
-                input=b"x + \xff",
-                capture_output=True,
-                env=env,
-            )
+            helpers.run_module(["compile", path], "x + \xff", encoding="latin-1", env=env)
             for path in ("-", str(source))
         ]
-        message = b"error: 'utf-8' codec can't decode byte 0xff in position 4: "
-        message += b"invalid start byte\n"
-        outcomes = [(run.returncode, run.stdout, run.stderr) for run in runs]
-        assert outcomes == [(2, b"", message)] * 2
+        message = "error: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n"
+        assert runs == [(2, "", message)] * 2
 
     def test_overlong_integer_literal_exits_2_with_one_error_line(
         self, capsys, monkeypatch, tmp_path
@@ -103,44 +172,6 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert err.startswith("error: 1:1: ") and err.count("\n") == 1
-
-
-class TestShowAndSize:
-    def test_show_prints_let_bindings(self, capsys, monkeypatch):
-        code, out, _ = run_cli(capsys, monkeypatch, ["show"], stdin="let y = i1+i1 in y+y")
-        assert code == 0
-        assert out == "let v0 = i1 + i1 in v0 + v0\n"
-
-    def test_size_counts_shared_terms_once(self, capsys, monkeypatch):
-        code, out, _ = run_cli(capsys, monkeypatch, ["size"], stdin="let y = i1+i1 in y+y")
-        assert code == 0
-        assert out == "4\n"
-
-
-class TestCompile:
-    def test_dag_format(self, capsys, monkeypatch):
-        code, out, _ = run_cli(
-            capsys, monkeypatch, ["compile", "--format", "dag"], stdin="let y=i1+i1 in y+y"
-        )
-        assert code == 0
-        assert out == '(2,DAG BiMap[(0,NVar "i1"),(1,NAdd 0 0),(2,NAdd 1 1)])\n'
-
-    def test_netlist_format(self, capsys, monkeypatch):
-        code, out, _ = run_cli(
-            capsys, monkeypatch, ["compile", "--format", "netlist"], stdin="let y=i1+i1 in y+y"
-        )
-        assert code == 0
-        assert out == "n0 = input i1\nn1 = add n0 n0\nn2 = add n1 n1\nout n2\n"
-
-    def test_threeaddr_format(self, capsys, monkeypatch):
-        code, out, _ = run_cli(capsys, monkeypatch, ["compile", "--format", "threeaddr"], stdin="5")
-        assert code == 0
-        assert out == "LOADI r0, 5\nRET r0\n"
-
-    def test_parse_error_exits_2(self, capsys, monkeypatch):
-        code, _, err = run_cli(capsys, monkeypatch, ["compile", "--format", "dag"], stdin="((")
-        assert code == 2
-        assert err
 
 
 class TestBench:
@@ -192,32 +223,6 @@ class TestBench:
         run(2**12)  # warm up
         ratio = median(run(2**13) / run(2**12) for _ in range(7))
         assert 1.5 <= ratio <= 3.0
-
-    def test_negative_n_rejected(self, capsys, monkeypatch):
-        with pytest.raises(SystemExit) as err:
-            run_cli(capsys, monkeypatch, ["bench", "--gen", "mul", "--n", "-1"])
-        assert err.value.code == 2
-        assert capsys.readouterr().err == "error: --n must be >= 0\n"
-
-    def test_bad_var_flag_exits_2(self, capsys, monkeypatch):
-        with pytest.raises(SystemExit) as err:
-            run_cli(capsys, monkeypatch, ["eval", "--var", "oops"], stdin="1")
-        assert err.value.code == 2
-        assert capsys.readouterr().err == (
-            "error: argument --var: expected NAME=VALUE, got 'oops'\n"
-        )
-
-    @pytest.mark.parametrize(
-        "value, problem",
-        [("12a", "must be an integer"), ("1" * 5000, "is too long")],
-        ids=["not-an-integer", "overlong"],
-    )
-    def test_var_value_errors_are_one_line(self, capsys, monkeypatch, value, problem):
-        # 5,000 digits is past CPython's default int-to-string limit of 4,300
-        with pytest.raises(SystemExit) as err:
-            run_cli(capsys, monkeypatch, ["eval", "--var", f"x={value}"], stdin="x")
-        assert err.value.code == 2
-        assert capsys.readouterr().err == f"error: argument --var: value for 'x' {problem}\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "show", "size", "compile"])
@@ -287,14 +292,3 @@ def test_any_input_ends_in_a_known_exit_code_and_one_error_line(command, data):
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-
-
-def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "exprdag", "eval", "--var", "i1=5", "-"],
-        input="let y = i1+i1 in y+y",
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "20\n"

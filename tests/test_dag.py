@@ -403,7 +403,7 @@ class TestDisplay:
             "(3,NNeg 2),(4,NSub 0 1),(5,NConst -3)])"
         )
 
-    @pytest.mark.parametrize("roots", [9, -1, [0, 9], True, [0, True]])
+    @pytest.mark.parametrize("roots", [9, -1, [0, 9], True, [0, True], 1.0])
     def test_a_root_outside_the_dag_is_a_key_error(self, roots):
         _, dag = build_dag(exp_mul4)
         with pytest.raises(KeyError):

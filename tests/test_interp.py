@@ -169,9 +169,22 @@ class TestPrintFlat:
     def test_two_leaf_add(self):
         assert print_flat(exp_a) == "10 + i1"
 
-    def test_neg_and_sub_have_no_parens(self):
-        program = lambda b: b.sub(b.neg(b.variable("x")), b.add(b.variable("y"), b.constant(1)))
-        assert print_flat(program) == "-x - y + 1"
+    @pytest.mark.parametrize(
+        "program, text",
+        [
+            (lambda b: b.sub(b.neg(b.variable("x")), b.add(b.variable("y"), b.constant(1))), "-x - y + 1"),
+            (
+                lambda b: b.sub(
+                    b.neg(b.add(b.variable("x"), b.constant(1))),
+                    b.sub(b.variable("y"), b.neg(b.variable("z"))),
+                ),
+                "-x + 1 - y - -z",
+            ),
+        ],
+        ids=["neg-leaf", "neg-sum"],
+    )
+    def test_neg_and_sub_have_no_parens(self, program, text):
+        assert print_flat(program) == print_let(program).replace("(", "").replace(")", "") == text
 
     def test_shared_subterms_print_again_at_every_use(self):
         assert print_flat(lambda b: mul_shared(b, 4, b.variable("i1"))) == "i1 + i1 + i1 + i1"
@@ -312,8 +325,10 @@ class TestPrintLet:
             lambda b: b.neg(()),
             lambda b: b.sub(b.variable("x"), ()),
             lambda b: b.sub((), b.variable("x")),
+            lambda b: b.let_((), lambda v: v),
+            lambda b: b.let_(b.variable("x"), lambda v: ()),
         ],
-        ids=["program", "add-right", "add-left", "neg", "sub-right", "sub-left"],
+        ids=["program", "add-right", "add-left", "neg", "sub-right", "sub-left", "let-bound", "let-body"],
     )
     def test_an_empty_tuple_is_refused(self, program):
         # As evaluate, size and build_dag refuse it, with a TypeError.
@@ -392,18 +407,20 @@ class TestPrintLetCost:
         ratios = helpers.run_deep(lambda: [seconds(20_000) / seconds(5_000) for _ in range(7)])
         assert median(ratios) <= 7, ratios
 
-    def test_a_long_let_free_sum_prints_at_any_length(self):
-        text = " + ".join(["x"] + [f"x{i}" for i in range(1, 5_000)])
-        assert print_let(let_free_sum(5_000)) == text
+    @pytest.mark.parametrize("printer", [print_let, print_flat])
+    def test_a_long_let_free_sum_prints_at_any_length(self, printer):
+        text = " + ".join(["x"] + [f"x{i}" for i in range(1, 20_000)])
+        assert printer(let_free_sum(20_000)) == text
 
 
 @pytest.mark.parametrize("printer", [print_let, print_flat])
 class TestLetFreeTextCost:
-    def test_a_long_let_free_text_is_copied_once(self, printer):
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**20 - 1])
+    def test_a_long_let_free_text_is_copied_once(self, printer, n):
         # Operands of 4 KiB or more join by reference, and their pieces are
         # copied once, into the output. An operator that copied its operands'
         # text would peak at about twice the output's size.
-        program = lambda b: mul(b, 2**16 - 1, b.variable("x"))  # noqa: E731
+        program = lambda b: mul(b, n, b.variable("x"))  # noqa: E731
         gc.collect()
         tracemalloc.start()
         try:
@@ -411,7 +428,7 @@ class TestLetFreeTextCost:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert text == " + ".join(["x"] * (2**16 - 1))
+        assert text == " + ".join(["x"] * n)
         assert peak <= 1.25 * len(text), (peak, len(text))
 
     def test_a_let_free_sum_prints_in_time_linear_in_its_length(self, printer):

@@ -11,12 +11,12 @@ import ast
 import io
 import re
 import shlex
-import subprocess
-import sys
 import tokenize
 from pathlib import Path
 
 import pytest
+
+import helpers
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -45,11 +45,8 @@ def test_readme_transcript(words, output):
         stdin = words[1] + "\n"
         assert words[2] == "|"
         words = words[3:]
-    proc = subprocess.run(
-        [sys.executable, "-m", *words], input=stdin, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == output
+    assert words[0] == "exprdag"
+    assert helpers.run_module(words[1:], stdin) == (0, output, "")
 
 
 def test_readme_python_blocks_run_and_match_their_literal_comments(capsys):
