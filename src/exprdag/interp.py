@@ -191,6 +191,10 @@ _TEXT, _ROPE, _LET, _TREE = object(), object(), object(), object()
 _TEXTS = (_TEXT, _ROPE)
 
 
+def _atom(term):
+    return (term[0], 2, term[2]) if term and term[0] in _TEXTS else term
+
+
 class LetPrinter(FullBuilder[tuple]):
     """Renders let_ as ``let vN = bound in body``.
 
@@ -201,13 +205,13 @@ class LetPrinter(FullBuilder[tuple]):
     ``(_ROPE, level, rope)`` once its operands' text reaches ``_ROPE_AT``, so
     host aliases of it share its text; it is never below operator level, so
     only the contexts that ask for an atom (a neg operand, a sub's right
-    side) bracket one, when they are built. FlatPrinter builds the same text
-    terms without brackets. Binder names are drawn in rendering order, so a
-    term with a let_ inside is left for ``_show``: let_ returns
-    ``(_LET, bound, body)``, and an add, neg or sub over such a term returns
-    the tree node ``(kind, left, right)`` or ``("neg", operand)``. ``free``
-    collects every variable name the program uses, so print_let can keep
-    binders from capturing them.
+    side) bracket one, when they are built. FlatPrinter lifts those operands
+    to atoms, and an atom fits every context, so its text has no brackets.
+    Binder names are drawn in rendering order, so a term with a let_ inside
+    is left for ``_show``: let_ returns ``(_LET, bound, body)``, and an add,
+    neg or sub over such a term returns the tree node ``(kind, left,
+    right)`` or ``("neg", operand)``. ``free`` collects every variable name
+    the program uses, so print_let can keep binders from capturing them.
     """
 
     def __init__(self) -> None:
@@ -248,7 +252,7 @@ class LetPrinter(FullBuilder[tuple]):
         try:
             if right[0] is _TEXT and right[1] < 2:
                 right = (_TEXT, 2, f"({right[2]})")
-            elif right[0] is _ROPE:
+            elif right[0] is _ROPE and right[1] < 2:
                 right = (_ROPE, 2, ("(", right[2], ")"))
             if left[0] is _TEXT and right[0] is _TEXT and len(left[2]) + len(right[2]) < _ROPE_AT:
                 return (_TEXT, 1, f"{left[2]} - {right[2]}")
@@ -270,7 +274,8 @@ def _show(builder, supply, scope, parts, ast, prec):
     among LetPrinter terms and, in a tree, maps a let's name to its binder
     and a free name to its text, from ``builder`` once, as in ``_evaluate``;
     a tree's var or let among LetPrinter terms, a LetPrinter term in a tree,
-    or an empty tuple as a let_'s bound or its body's result, is a
+    an empty tuple as a let_'s bound or its body's result, or, with no
+    ``supply`` as print_flat calls it, a let_'s or elaborate's term, is a
     TypeError."""
     kind = ast[0] if type(ast) is tuple else None
     if scope is not None and kind == "var":
@@ -305,7 +310,7 @@ def _show(builder, supply, scope, parts, ast, prec):
         scope[ast[1]] = outer
         if prec > 0:
             parts.append(")")
-    elif kind is _LET and scope is None:
+    elif kind is _LET and scope is None and supply is not None:
         if not ast[1]:  # such as (), which has no kind to read
             raise TypeError(f"not an expression tree: {ast[1]!r}")
         slot = len(parts)
@@ -334,7 +339,8 @@ def _show(builder, supply, scope, parts, ast, prec):
             _show(builder, supply, scope, parts, operand, 2)
             if prec > 1:
                 parts.append(")")
-    elif kind is _TREE and scope is None:  # elaborate's term: a host neg over it folds no literal
+    elif kind is _TREE and scope is None and supply is not None:
+        # elaborate's term: a host neg over it folds no literal
         _show(builder, supply, {}, parts, ast[1], prec)
     else:
         raise TypeError(f"not an expression tree: {ast!r}")
@@ -342,30 +348,17 @@ def _show(builder, supply, scope, parts, ast, prec):
 
 
 class FlatPrinter(LetPrinter):
-    """LetPrinter's text terms with no brackets, and let_ substituting: a
-    shared subterm prints again at every use, as in the expanded tree."""
+    """LetPrinter over atoms: ``_atom`` lifts a neg's operand and a sub's right
+    side to atom level, which fits every context, so no bracket goes in. let_
+    substitutes: a shared subterm prints again at every use, as in the tree."""
 
     let_ = FullBuilder.let_
 
     def neg(self, operand):
-        try:
-            if operand[0] is _TEXT and len(operand[2]) < _ROPE_AT:
-                return (_TEXT, 1, f"-{operand[2]}")
-            if operand[0] in _TEXTS:
-                return (_ROPE, 1, ("-", operand[2]))
-        except IndexError:  # only an empty tuple has no kind to read
-            raise TypeError("not an expression tree: ()") from None
-        return ("neg", operand)
+        return LetPrinter.neg(self, _atom(operand))
 
     def sub(self, left, right):
-        try:
-            if left[0] is _TEXT and right[0] is _TEXT and len(left[2]) + len(right[2]) < _ROPE_AT:
-                return (_TEXT, 1, f"{left[2]} - {right[2]}")
-            if left[0] in _TEXTS and right[0] in _TEXTS:
-                return (_ROPE, 1, (left[2], " - ", right[2]))
-        except IndexError:  # only an empty tuple has no kind to read
-            raise TypeError("not an expression tree: ()") from None
-        return ("sub", left, right)
+        return LetPrinter.sub(self, left, _atom(right))
 
 
 @collector_paused

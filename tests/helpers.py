@@ -1,5 +1,5 @@
-"""Shared oracles, random-program machinery and the CLI's process runner
-for the test suite.
+"""Shared oracles, the multiply-by-4 fixtures, random-program machinery
+and the CLI's process runner for the test suite.
 
 The oracles recompute results by direct recursion over trees, kept
 deliberately separate from the builder/interpreter code paths they check.
@@ -14,11 +14,20 @@ from collections import defaultdict
 
 from exprdag.builders import FullBuilder
 from exprdag.dag import Dag, DagBuilder
+from exprdag.generators import mul
 from exprdag.interp import Evaluator, SizeBuilder, print_let
 from exprdag.parser import _Elaborator, elaborate
 
 _HALF = 1 << 63
 _WORD = 1 << 64
+
+
+def exp_mul4(b):
+    return mul(b, 4, b.variable("i1"))
+
+
+def exp_mul4_shared(b):
+    return b.let_(b.variable("i1"), lambda x: b.let_(b.add(x, x), lambda y: b.add(y, y)))
 
 
 def wrap(value):

@@ -26,21 +26,13 @@ def _report(label, check):
     print(f"PASS {label}")
 
 
-def exp_mul4(b):
-    return mul(b, 4, b.variable("i1"))
-
-
-def exp_mul4_shared(b):
-    return b.let_(b.variable("i1"), lambda x: b.let_(b.add(x, x), lambda y: b.add(y, y)))
-
-
 def _norm(text):
     return " ".join(text.split())
 
 
 def test_criterion_1_doubling_chain_dag_layout():
     def check():
-        root, dag = build_dag(exp_mul4)
+        root, dag = build_dag(helpers.exp_mul4)
         assert root == 2
         assert dag.items() == [(0, ("var", "i1")), (1, ("add", 0, 0)), (2, ("add", 1, 1))]
         root8, dag8 = build_dag(lambda b: mul(b, 8, b.variable("i1")))
@@ -89,8 +81,10 @@ def test_criterion_3_partially_shared_multiplier_dag():
 
 def test_criterion_4_printer_fixtures():
     def check():
-        assert _norm(print_flat(exp_mul4)) == "i1 + i1 + i1 + i1"
-        assert _norm(print_let(exp_mul4_shared)) == "let v0 = i1 in let v1 = v0 + v0 in v1 + v1"
+        assert _norm(print_flat(helpers.exp_mul4)) == "i1 + i1 + i1 + i1"
+        assert _norm(print_let(helpers.exp_mul4_shared)) == (
+            "let v0 = i1 in let v1 = v0 + v0 in v1 + v1"
+        )
         assert _norm(print_let(lambda b: mul_shared(b, 15, b.variable("i")))) == (
             "i + let v0 = i in v0 + v0 + "
             "let v1 = v0 + v0 in v1 + v1 + let v2 = v1 + v1 in v2 + v2"
@@ -101,9 +95,9 @@ def test_criterion_4_printer_fixtures():
 
 def test_criterion_5_values_and_size():
     def check():
-        assert evaluate(exp_mul4, {"i1": 5}) == 20
-        assert evaluate(exp_mul4_shared, {"i1": 5}) == 20
-        assert size(exp_mul4) == 7
+        assert evaluate(helpers.exp_mul4, {"i1": 5}) == 20
+        assert evaluate(helpers.exp_mul4_shared, {"i1": 5}) == 20
+        assert size(helpers.exp_mul4) == 7
 
     _report("criterion 5: evaluation and size fixtures", check)
 

@@ -14,10 +14,6 @@ from exprdag.generators import mul, mul_shared, sklansky, sklansky_shared
 import helpers
 
 
-def exp_mul4(b):
-    return mul(b, 4, b.variable("i1"))
-
-
 def inputs(b, count):
     return [b.variable(f"i{k}") for k in range(count)]
 
@@ -234,34 +230,12 @@ class TestHashcons:
 
 
 class TestBuildDag:
-    def test_mul4_layout(self):
-        root, dag = build_dag(exp_mul4)
-        assert root == 2
-        assert dag.items() == MUL4_ITEMS
-
-    def test_mul8_adds_one_node(self):
-        root, dag = build_dag(lambda b: mul(b, 8, b.variable("i1")))
-        assert root == 3
-        assert dag.items() == MUL4_ITEMS + [(3, ("add", 2, 2))]
-
-    def test_mul_shared_15_finds_the_undeclared_sharing(self):
-        root, dag = build_dag(lambda b: mul_shared(b, 15, b.variable("i")))
-        assert root == 6
-        assert dag.items() == [
-            (0, ("var", "i")),
-            (1, ("add", 0, 0)),
-            (2, ("add", 1, 1)),
-            (3, ("add", 2, 2)),
-            (4, ("add", 2, 3)),
-            (5, ("add", 1, 4)),
-            (6, ("add", 0, 5)),
-        ]
-
     def test_explicit_sharing_builds_the_identical_dag(self):
-        assert build_dag(lambda b: mul_shared(b, 4, b.variable("i1"))) == build_dag(exp_mul4)
+        shared = build_dag(lambda b: mul_shared(b, 4, b.variable("i1")))
+        assert shared == build_dag(helpers.exp_mul4)
 
     def test_build_is_deterministic(self):
-        assert build_dag(exp_mul4) == build_dag(exp_mul4)
+        assert build_dag(helpers.exp_mul4) == build_dag(helpers.exp_mul4)
 
     def test_constants_are_consed_like_any_node(self):
         root, dag = build_dag(lambda b: b.add(b.constant(5), b.constant(5)))
@@ -269,30 +243,14 @@ class TestBuildDag:
         assert root == 1
 
     def test_dag_equality_is_by_association_list(self):
-        _, one = build_dag(exp_mul4)
-        _, two = build_dag(exp_mul4)
+        _, one = build_dag(helpers.exp_mul4)
+        _, two = build_dag(helpers.exp_mul4)
         assert one == two
         _, other = build_dag(lambda b: mul(b, 8, b.variable("i1")))
         assert one != other
 
 
 class TestBuildForest:
-    def test_running_sums_share_across_roots(self):
-        roots, dag = build_forest(
-            lambda b: sklansky(b.add, [b.variable(str(i)) for i in range(1, 5)])
-        )
-        assert roots == [0, 2, 4, 7]
-        assert dag.items() == [
-            (0, ("var", "1")),
-            (1, ("var", "2")),
-            (2, ("add", 0, 1)),
-            (3, ("var", "3")),
-            (4, ("add", 2, 3)),
-            (5, ("var", "4")),
-            (6, ("add", 3, 5)),
-            (7, ("add", 2, 6)),
-        ]
-
     def test_empty_forest(self):
         roots, dag = build_forest(lambda b: [])
         assert roots == []
@@ -378,7 +336,7 @@ class TestMulCost:
 
 class TestDisplay:
     def test_single_root_format(self):
-        root, dag = build_dag(exp_mul4)
+        root, dag = build_dag(helpers.exp_mul4)
         assert format_dag(root, dag) == '(2,DAG BiMap[(0,NVar "i1"),(1,NAdd 0 0),(2,NAdd 1 1)])'
 
     def test_forest_format(self):
@@ -405,13 +363,13 @@ class TestDisplay:
 
     @pytest.mark.parametrize("roots", [9, -1, [0, 9], True, [0, True], 1.0])
     def test_a_root_outside_the_dag_is_a_key_error(self, roots):
-        _, dag = build_dag(exp_mul4)
+        _, dag = build_dag(helpers.exp_mul4)
         with pytest.raises(KeyError):
             format_dag(roots, dag)
 
 
 def test_dag_node_accessor_validates_ids():
-    _, dag = build_dag(exp_mul4)
+    _, dag = build_dag(helpers.exp_mul4)
     assert dag.node(0) == ("var", "i1")
     for node_id in (3, True, 1.0):
         with pytest.raises(KeyError):
@@ -419,7 +377,7 @@ def test_dag_node_accessor_validates_ids():
 
 
 def test_terms_can_be_rerun_in_fresh_sessions():
-    term = exp_mul4(DagBuilder())
+    term = helpers.exp_mul4(DagBuilder())
     first = Dag()
     second = Dag()
     assert term(first._ids) == term(second._ids) == 2

@@ -37,14 +37,6 @@ def exp_a(b):
     return b.add(b.constant(10), b.variable("i1"))
 
 
-def exp_mul4(b):
-    return mul(b, 4, b.variable("i1"))
-
-
-def exp_mul4_shared(b):
-    return b.let_(b.variable("i1"), lambda x: b.let_(b.add(x, x), lambda y: b.add(y, y)))
-
-
 class TestEvaluate:
     def test_constant(self):
         assert evaluate(lambda b: b.constant(7), {}) == 7
@@ -63,12 +55,6 @@ class TestEvaluate:
         program = lambda b: b.add(b.variable("x"), b.constant(1))
         with pytest.raises(TypeError, match=f"value of x must be an int, not {type(value).__name__}"):
             evaluate(program, {"x": value})
-
-    def test_mul4(self):
-        assert evaluate(exp_mul4, {"i1": 5}) == 20
-
-    def test_mul4_with_explicit_sharing(self):
-        assert evaluate(exp_mul4_shared, {"i1": 5}) == 20
 
     def test_two_level_add(self):
         program = lambda b: b.add(exp_a(b), b.variable("i2"))
@@ -144,11 +130,8 @@ class TestSize:
         assert size(lambda b: b.constant(0)) == 1
         assert size(lambda b: b.constant(1)) == 1
 
-    def test_mul4_counts_the_whole_tree(self):
-        assert size(exp_mul4) == 7
-
     def test_shared_subterms_count_once(self):
-        assert size(exp_mul4_shared) == 3
+        assert size(helpers.exp_mul4_shared) == 3
 
     def test_neg_sub(self):
         assert size(lambda b: b.neg(b.sub(b.variable("x"), b.constant(1)))) == 4
@@ -161,7 +144,7 @@ class TestSize:
 
 class TestPrintFlat:
     def test_mul4(self):
-        assert print_flat(exp_mul4) == "i1 + i1 + i1 + i1"
+        assert print_flat(helpers.exp_mul4) == "i1 + i1 + i1 + i1"
 
     def test_constant(self):
         assert print_flat(lambda b: b.constant(10)) == "10"
@@ -189,13 +172,33 @@ class TestPrintFlat:
     def test_shared_subterms_print_again_at_every_use(self):
         assert print_flat(lambda b: mul_shared(b, 4, b.variable("i1"))) == "i1 + i1 + i1 + i1"
 
+    @pytest.mark.parametrize("in_add", [False, True], ids=["program", "in-add"])
+    @pytest.mark.parametrize(
+        "term",
+        [
+            lambda lp: lp.let_(lp.variable("p"), lambda v: v),
+            lambda lp: helpers.program_of(parse("let a = x in a + 1"))(lp),
+        ],
+        ids=["let", "parsed-tree"],
+    )
+    def test_a_let_printers_let_or_parsed_tree_is_refused(self, term, in_add):
+        # A LetPrinter's term is no FlatPrinter term, as it is no term of
+        # evaluate's, size's or build_dag's.
+        lp = LetPrinter()
+        if in_add:
+            program = lambda b: b.add(b.variable("y"), term(lp))
+        else:
+            program = lambda b: term(lp)
+        with pytest.raises(TypeError, match=r"^not an expression tree: \("):
+            print_flat(program)
+
 
 class TestPrintLet:
     def test_let_free_program_prints_flat(self):
-        assert print_let(exp_mul4) == "i1 + i1 + i1 + i1"
+        assert print_let(helpers.exp_mul4) == "i1 + i1 + i1 + i1"
 
     def test_nested_sharing(self):
-        assert print_let(exp_mul4_shared) == "let v0 = i1 in let v1 = v0 + v0 in v1 + v1"
+        assert print_let(helpers.exp_mul4_shared) == "let v0 = i1 in let v1 = v0 + v0 in v1 + v1"
 
     def test_mul_shared_15(self):
         expected = (
@@ -245,7 +248,7 @@ class TestPrintLet:
         assert print_let(program) == "let v1 = y in v1 + v0"
 
     def test_rendering_twice_restarts_the_numbering(self):
-        program = exp_mul4_shared
+        program = helpers.exp_mul4_shared
         assert print_let(program) == print_let(program)
 
     def test_a_let_term_aliased_twice_draws_two_binder_names(self):

@@ -10,16 +10,12 @@ from hypothesis import strategies as st
 import exprdag.dag
 from exprdag import netlist
 from exprdag.dag import Dag, DagBuilder, build_dag, build_forest, format_dag
-from exprdag.generators import mul, sklansky, sklansky_shared
+from exprdag.generators import sklansky, sklansky_shared
 from exprdag.interp import UnboundVariableError, evaluate
 from exprdag.netlist import emit_netlist, emit_threeaddr, eval_dag
 from exprdag.parser import elaborate
 
 import helpers
-
-
-def exp_mul4(b):
-    return mul(b, 4, b.variable("i1"))
 
 
 def sklansky4(b):
@@ -34,7 +30,7 @@ def const_dag(value):
 
 class TestEvalDag:
     def test_mul4(self):
-        root, dag = build_dag(exp_mul4)
+        root, dag = build_dag(helpers.exp_mul4)
         assert eval_dag(dag, root, {"i1": 5}) == 20
 
     def test_single_constant(self):
@@ -51,7 +47,7 @@ class TestEvalDag:
         assert eval_dag(dag, root, {"a": 3, "b": 4}) == -7
 
     def test_unbound_variable(self):
-        root, dag = build_dag(exp_mul4)
+        root, dag = build_dag(helpers.exp_mul4)
         with pytest.raises(UnboundVariableError) as err:
             eval_dag(dag, root, {})
         assert err.value.name == "i1"
@@ -78,7 +74,7 @@ class TestEvalDag:
         assert eval_dag(dag, root, env) == evaluate(program, env) == expected
 
     def test_out_of_range_root(self):
-        root, dag = build_dag(exp_mul4)
+        root, dag = build_dag(helpers.exp_mul4)
         with pytest.raises(KeyError):
             eval_dag(dag, root + 1, {"i1": 5})
 
@@ -98,7 +94,7 @@ class TestEvalDagMemo:
             assert dag._memo[2] is values
 
     def test_an_env_changed_in_place_gives_the_new_value(self):
-        root, dag = build_dag(exp_mul4)
+        root, dag = build_dag(helpers.exp_mul4)
         env = {"i1": 5}
         assert eval_dag(dag, root, env) == 20
         env["i1"] = 2**70 + 6
@@ -142,7 +138,7 @@ class TestEvalDagMemo:
 
 class TestEmitNetlist:
     def test_mul4(self):
-        root, dag = build_dag(exp_mul4)
+        root, dag = build_dag(helpers.exp_mul4)
         assert emit_netlist(dag, [root]) == (
             "n0 = input i1\nn1 = add n0 n0\nn2 = add n1 n1\nout n2\n"
         )
@@ -168,7 +164,7 @@ class TestEmitNetlist:
         assert helpers.netlist_refs_are_backward(emit_netlist(dag, roots))
 
     def test_invalid_root_rejected(self):
-        root, dag = build_dag(exp_mul4)
+        root, dag = build_dag(helpers.exp_mul4)
         with pytest.raises(KeyError):
             emit_netlist(dag, [root + 1])
 
@@ -179,7 +175,7 @@ class TestEmitThreeAddr:
         assert emit_threeaddr(dag, root) == "LOADI r0, 5\nRET r0\n"
 
     def test_mul4(self):
-        root, dag = build_dag(exp_mul4)
+        root, dag = build_dag(helpers.exp_mul4)
         assert emit_threeaddr(dag, root) == (
             "LOADV r0, i1\nADD r1, r0, r0\nADD r2, r1, r1\nRET r2\n"
         )
@@ -357,7 +353,7 @@ class TestIdTable:
 
     def test_a_table_held_before_growth_is_left_as_it_was(self, monkeypatch):
         monkeypatch.setattr(netlist, "_DECIMAL", [])
-        root, dag = build_dag(exp_mul4)
+        root, dag = build_dag(helpers.exp_mul4)
         emit_threeaddr(dag, root)
         held = netlist._DECIMAL
         assert held == ["0", "1", "2"]
