@@ -56,6 +56,12 @@ class TestEvaluate:
         with pytest.raises(TypeError, match=f"value of x must be an int, not {type(value).__name__}"):
             evaluate(program, {"x": value})
 
+    def test_mul4(self):
+        assert evaluate(helpers.exp_mul4, {"i1": 5}) == 20
+
+    def test_mul4_with_explicit_sharing(self):
+        assert evaluate(helpers.exp_mul4_shared, {"i1": 5}) == 20
+
     def test_two_level_add(self):
         program = lambda b: b.add(exp_a(b), b.variable("i2"))
         assert evaluate(program, {"i1": 2, "i2": 3}) == 15
@@ -129,6 +135,9 @@ class TestSize:
     def test_single_constant(self):
         assert size(lambda b: b.constant(0)) == 1
         assert size(lambda b: b.constant(1)) == 1
+
+    def test_mul4_counts_the_whole_tree(self):
+        assert size(helpers.exp_mul4) == 7
 
     def test_shared_subterms_count_once(self):
         assert size(helpers.exp_mul4_shared) == 3
