@@ -8,16 +8,18 @@ Grammar, with '+' and '-' on one left-associative level::
 
 'let'/'in' are reserved; a let body extends as far right as possible.
 
-``parse`` scans, then descends. One regex search rejects the first character
-outside the ASCII alphabet of the grammar, and ``str.split`` cuts the text,
-its operators and parentheses padded with spaces, into token strings, with
-``""`` as the end marker. Recursive descent walks that list by index and
-compares strings; no token carries a position. ``split`` keeps a digit-led
-word such as ``1in`` whole, which ``_TOKEN`` cuts; the lists agree before it.
-A term that meets one swaps in ``_TOKEN``'s tail in place and reads again, and
-an error names ``_TOKEN``'s token, so one descent serves both. A
-``ParseError``'s line and column are computed only when it is raised, by
-scanning again with ``_TOKEN`` to the failing token's offset.
+``parse`` scans, then reads in one loop. One regex search rejects the first
+character outside the ASCII alphabet of the grammar, and ``str.split`` cuts
+the text, its operators and parentheses padded with spaces, into token
+strings, with ``""`` as the end marker. The loop walks that list by index and
+compares strings; no token carries a position. The levels a term sits in
+(parentheses, a let's bound or body, the top) wait on a list used as a stack,
+so nesting costs memory, not Python frames. ``split`` keeps a digit-led word
+such as ``1in`` whole, which ``_TOKEN`` cuts; the lists agree before it. A
+term that meets one swaps in ``_TOKEN``'s tail in place and reads again, and
+an error names ``_TOKEN``'s token. A ``ParseError``'s line and column are
+computed only when it is raised, by scanning again with ``_TOKEN`` to the
+failing token's offset.
 
 ``elaborate`` dispatches on a tree node's tag and links a (name, term,
 parent) scope frame per let, not a copy, so it is linear in let depth; a
@@ -73,67 +75,74 @@ def parse(text: str) -> tuple:
         starts = [match.start() for match in _TOKEN.finditer(text)]
         return _error_at(text, (starts + [len(text)])[index], message)
 
-    def expect(token: str, what: str) -> None:
-        nonlocal pos
-        if tokens[pos] != token:
-            raise fail(pos, f"expected {what}, found {_describe(tokens[pos])}")
-        pos += 1
-
-    def expr() -> tuple:
-        nonlocal pos
-        node = term()
-        while tokens[pos] in ("+", "-"):
-            kind = "add" if tokens[pos] == "+" else "sub"
-            pos += 1
-            node = (kind, node, term())
-        return node
-
-    def term() -> tuple:
-        nonlocal pos
+    # The level being read: its closer ("" at the top, None in a let body,
+    # which ends where its context ends), left operand, pending add or sub,
+    # count of pending unary minuses and binder: a let bound's name, then a
+    # let body's (name, bound). The levels around it wait on the stack.
+    closer, node, op, negs, binder = "", None, None, 0, None
+    stack, pos = [], 0
+    while True:
         token = tokens[pos]
         pos += 1
         # Tokens are ASCII, so str.isdigit and str.isidentifier sort them
-        # exactly as _TOKEN's alternatives did.
+        # exactly as _TOKEN's alternatives do.
         if token.isdigit():
             try:
-                value = int(token)
+                term = ("const", int(token))
             except ValueError:  # longer than the interpreter's int-to-string limit
                 raise fail(
                     pos - 1, f"integer literal of {len(token)} digits is too long"
                 ) from None
-            return ("const", value)
-        if token == "let":
+        elif token == "let":
             name = tokens[pos]
             if name in _RESERVED:
                 raise fail(pos, f"reserved word {name!r} cannot be used as a name")
             if not name.isidentifier():
                 raise fail(pos, f"expected a name to bind, found {_describe(name)}")
-            pos += 1
-            expect("=", "'='")
-            bound = expr()
-            expect("in", "'in'")
-            return ("let", name, bound, expr())
-        if token.isidentifier() and token != "in":
-            return ("var", token)
-        if token == "-":
-            return ("neg", term())
-        if token == "(":
-            node = expr()
-            expect(")", "')'")
-            return node
-        if token[:1].isdigit():  # a digit-led word such as 1in, kept whole by split
+            if tokens[pos + 1] != "=":
+                raise fail(pos + 1, f"expected '=', found {_describe(tokens[pos + 1])}")
+            pos += 2
+            stack.append((closer, node, op, negs, binder))
+            closer, node, op, negs, binder = "in", None, None, 0, name
+            continue
+        elif token.isidentifier() and token != "in":
+            term = ("var", token)
+        elif token == "-":
+            negs += 1
+            continue
+        elif token == "(":
+            stack.append((closer, node, op, negs, binder))
+            closer, node, op, negs, binder = ")", None, None, 0, None
+            continue
+        elif token[:1].isdigit():  # a digit-led word such as 1in, kept whole by split
             pos -= 1
             tokens[pos:] = _TOKEN.findall(text)[pos:] + [""]
-            return term()
-        raise fail(pos - 1, f"expected an expression, found {_describe(token)}")
-
-    pos = 0
-    try:
-        node = expr()
-        expect("", "end of input")
-        return node
-    finally:  # the closures name each other through cells: break that cycle
-        fail = expect = expr = term = None
+            continue
+        else:
+            raise fail(pos - 1, f"expected an expression, found {_describe(token)}")
+        while True:  # apply what is pending on the term, then read + or - or close levels
+            while negs:
+                term = ("neg", term)
+                negs -= 1
+            node = term if op is None else (op, node, term)
+            token = tokens[pos]
+            if token == "+" or token == "-":
+                op = "add" if token == "+" else "sub"
+                pos += 1
+                break
+            if closer is None:
+                term = ("let", *binder, node)
+            elif token != closer:
+                raise fail(pos, f"expected {_describe(closer)}, found {_describe(token)}")
+            elif not token:
+                return node
+            else:
+                pos += 1
+                if token == "in":
+                    closer, node, op, binder = None, None, None, (binder, node)
+                    break
+                term = node
+            closer, node, op, negs, binder = stack.pop()
 
 
 class _Elaborator:

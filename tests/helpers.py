@@ -12,11 +12,21 @@ import sys
 import threading
 from collections import defaultdict
 
+from hypothesis import strategies as st
+
 from exprdag.builders import FullBuilder
 from exprdag.dag import Dag, DagBuilder
 from exprdag.generators import mul
 from exprdag.interp import Evaluator, SizeBuilder, print_let
-from exprdag.parser import _Elaborator, elaborate
+from exprdag.parser import (
+    _BAD_CHAR,
+    _RESERVED,
+    _TOKEN,
+    _describe,
+    _Elaborator,
+    _error_at,
+    elaborate,
+)
 
 _HALF = 1 << 63
 _WORD = 1 << 64
@@ -152,6 +162,78 @@ def reference_sklansky(combine, xs):
     right = reference_sklansky(combine, xs[mid:])
     pivot = left[-1]
     return left + [combine(pivot, r) for r in right]
+
+
+def descent_parse(text):
+    """The parser's original recursive descent, two frames per nesting
+    level, kept as the oracle for parse's trees and ParseErrors."""
+    bad = _BAD_CHAR.search(text)
+    if bad:
+        raise _error_at(text, bad.start(), f"unexpected character {bad.group()!r}")
+    pad = text.replace("(", " ( ").replace(")", " ) ").replace("+", " + ")
+    tokens = pad.replace("-", " - ").replace("=", " = ").split() + [""]
+
+    def fail(index, message):
+        starts = [match.start() for match in _TOKEN.finditer(text)]
+        return _error_at(text, (starts + [len(text)])[index], message)
+
+    def expect(token, what):
+        nonlocal pos
+        if tokens[pos] != token:
+            raise fail(pos, f"expected {what}, found {_describe(tokens[pos])}")
+        pos += 1
+
+    def expr():
+        nonlocal pos
+        node = term()
+        while tokens[pos] in ("+", "-"):
+            kind = "add" if tokens[pos] == "+" else "sub"
+            pos += 1
+            node = (kind, node, term())
+        return node
+
+    def term():
+        nonlocal pos
+        token = tokens[pos]
+        pos += 1
+        if token.isdigit():
+            try:
+                value = int(token)
+            except ValueError:
+                raise fail(pos - 1, f"integer literal of {len(token)} digits is too long") from None
+            return ("const", value)
+        if token == "let":
+            name = tokens[pos]
+            if name in _RESERVED:
+                raise fail(pos, f"reserved word {name!r} cannot be used as a name")
+            if not name.isidentifier():
+                raise fail(pos, f"expected a name to bind, found {_describe(name)}")
+            pos += 1
+            expect("=", "'='")
+            bound = expr()
+            expect("in", "'in'")
+            return ("let", name, bound, expr())
+        if token.isidentifier() and token != "in":
+            return ("var", token)
+        if token == "-":
+            return ("neg", term())
+        if token == "(":
+            node = expr()
+            expect(")", "')'")
+            return node
+        if token[:1].isdigit():  # a digit-led word such as 1in, kept whole by split
+            pos -= 1
+            tokens[pos:] = _TOKEN.findall(text)[pos:] + [""]
+            return term()
+        raise fail(pos - 1, f"expected an expression, found {_describe(token)}")
+
+    pos = 0
+    try:
+        node = expr()
+        expect("", "end of input")
+        return node
+    finally:  # the closures name each other through cells: break that cycle
+        fail = expect = expr = term = None
 
 
 def dag_children(node):
@@ -331,6 +413,60 @@ GRAMMAR_ATOMS = (
     ("let", "in", "=", "+", "-", "(", ")", " ", "\t", "\n", "\r\n", "x", "t1", "0", "42")
     + ("$", "\u00e9")
 )
+
+
+# v0 and v1 are the names print_let gives its first binders, so the round
+# trip also checks that no binder captures a free variable.
+NAMES = FREE_NAMES + LET_NAMES + ("v0", "v1")
+
+# Values reach past the signed 64-bit range and crowd its ends, so sums and
+# negations wrap.
+wide_ints = st.one_of(
+    st.sampled_from((2**63 - 1, 2**63, -(2**63), 2**64, 2**64 + 1, -(2**64) - 1)),
+    st.integers(-(2**70), 2**70),
+    st.integers(2**63 - 4, 2**63 + 4),
+    st.integers(-(2**63) - 4, -(2**63) + 4),
+)
+
+
+def leaves():
+    return st.one_of(
+        st.one_of(st.integers(-50, 50), wide_ints).map(lambda value: ("const", value)),
+        st.sampled_from(NAMES).map(lambda name: ("var", name)),
+    )
+
+
+def asts(with_neg_sub=True, with_let=True, siblings=False, with_neg=True):
+    """Trees over NAMES. With ``siblings``, some are a let and then a sibling
+    that uses the let's name, where it is free or bound by an outer let: a
+    walk whose scope outlives a let's body reads the wrong binding there.
+    Without ``with_neg``, trees have sub nodes but no neg nodes."""
+
+    def extend(inner):
+        options = [st.tuples(st.just("add"), inner, inner)]
+        if with_neg_sub:
+            options.append(st.tuples(st.just("sub"), inner, inner))
+        if with_neg_sub and with_neg:
+            options.append(st.tuples(st.just("neg"), inner))
+        if with_let:
+            let = st.tuples(st.just("let"), st.sampled_from(LET_NAMES), inner, inner)
+            options.append(let)
+        if siblings:
+            options.append(
+                st.builds(
+                    lambda kind, name, bound, body, after: (
+                        kind, ("let", name, bound, body), ("add", after, ("var", name))
+                    ),
+                    st.sampled_from(("add", "sub")),
+                    st.sampled_from(LET_NAMES),
+                    inner,
+                    inner,
+                    inner,
+                )
+            )
+        return st.one_of(options)
+
+    return st.recursive(leaves(), extend, max_leaves=30)
 
 
 def random_ast(rng: random.Random, max_depth: int, scope=()):

@@ -42,6 +42,7 @@ SHADOWED = "let a = x in let a = a + a in a - x\n"
 ASKED_AROUND = "x + (let x = 2 in x) + x\n"
 NETLIST = "n0 = input i1\nn1 = add n0 n0\nn2 = add n1 n1\nout n2\n"
 INT64_MAX, INT64_MIN = str(2**63 - 1), str(-(2**63))
+DEEP_PARENS = "(" * 600 + "1" + ")" * 600
 
 CONTRACT = [
     (["eval", "--var", "i1=5"], SHARED, 0, "20\n", ""),
@@ -52,10 +53,14 @@ CONTRACT = [
     (["eval", "--var", f"x={INT64_MAX}"], "x + 1\n", 0, f"{INT64_MIN}\n", ""),
     (["eval", "--var", f"x={INT64_MIN}"], "x - 1\n", 0, f"{INT64_MAX}\n", ""),
     (["eval", "--var", f"x={INT64_MIN}"], "-x\n", 0, f"{INT64_MIN}\n", ""),
-    # A digit-led word such as 1in is a literal and then a word, also deep
-    # inside the descent.
+    # A digit-led word such as 1in is a literal and then a word, also inside
+    # a let's bound.
     (["eval"], "let a = let b = 1 in 2in a + a\n", 0, "4\n", ""),
     (["compile"], "let a = 1in a + a\n", 0, "n0 = const 1\nn1 = add n0 n0\nout n1\n", ""),
+    # Parentheses leave no node behind, and parse keeps no frame per level,
+    # so 600 of them around a literal are the literal.
+    (["eval"], DEEP_PARENS, 0, "1\n", ""),
+    (["compile"], DEEP_PARENS, 0, "n0 = const 1\nout n0\n", ""),
     # Shadowing, then a name free again after its let's body, through
     # elaborate's fused walks.
     (["eval", "--var", "x=5"], SHADOWED, 0, "5\n", ""),
@@ -116,7 +121,7 @@ CONTRACT = [
 @pytest.mark.parametrize(
     "argv, stdin, code, out, err",
     CONTRACT,
-    ids=[f"{' '.join(argv)[:40]} < {stdin.strip()}" for argv, stdin, *_ in CONTRACT],
+    ids=[f"{' '.join(argv)[:40]} < {stdin.strip()[:40]}" for argv, stdin, *_ in CONTRACT],
 )
 @pytest.mark.parametrize("way", ["main", "python -m"])
 def test_the_cli_contract(capsys, monkeypatch, way, argv, stdin, code, out, err):
@@ -227,7 +232,8 @@ class TestBench:
 
 @pytest.mark.parametrize("command", ["eval", "show", "size", "compile"])
 def test_too_deep_input_exits_2_with_one_line(capsys, monkeypatch, command):
-    nested = "(" * 600 + "1" + ")" * 600
+    # parse takes any depth; every walk after it takes a frame per level
+    nested = "-" * 1200 + "x"
     code, out, err = run_cli(capsys, monkeypatch, [command], stdin=nested)
     assert code == 2
     assert out == ""
@@ -237,17 +243,17 @@ def test_too_deep_input_exits_2_with_one_line(capsys, monkeypatch, command):
 @pytest.mark.parametrize(
     "argv, first_line",
     [
-        (["eval", "--var", "x=1"], "450"),
-        (["size"], "899"),
+        (["eval", "--var", "x=1"], "900"),
+        (["size"], "1799"),
         (["show"], "let v0 = x in let v1 = v0 + 1 in"),
         (["compile"], "n0 = input x"),
     ],
     ids=["eval", "size", "show", "compile"],
 )
-def test_a_450_let_chain_runs_at_the_default_recursion_limit(capsys, monkeypatch, argv, first_line):
-    # parse takes two frames per let, and every walk after it one
-    lets = "".join(f"let a{i} = a{i - 1} + 1 in " for i in range(1, 450))
-    text = f"let a0 = x in {lets}a449"
+def test_a_900_let_chain_runs_at_the_default_recursion_limit(capsys, monkeypatch, argv, first_line):
+    # parse takes no frame per let, and every walk after it one
+    lets = "".join(f"let a{i} = a{i - 1} + 1 in " for i in range(1, 900))
+    text = f"let a0 = x in {lets}a899"
     code, out, err = run_cli(capsys, monkeypatch, argv, stdin=text)
     assert (code, err) == (0, "")
     assert out.startswith(first_line)

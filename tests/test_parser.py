@@ -3,7 +3,9 @@
 import ast
 import gc
 import re
+import time
 import tracemalloc
+from statistics import median
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from exprdag.builders import FullBuilder, lower_to_tree
 from exprdag.dag import DagBuilder, build_dag, build_forest
-from exprdag.interp import UnboundVariableError, evaluate, print_let, size
+from exprdag.interp import UnboundVariableError, evaluate, print_flat, print_let, size
 from exprdag.parser import ParseError, elaborate, parse
 
 import helpers
@@ -124,12 +126,12 @@ class TestParse:
         assert parse("let a = let b = 1 in 2in a + a") == parse("let a = let b = 1 in 2 in a + a")
 
     def test_a_digit_led_word_is_read_in_the_same_descent(self):
-        """The switch to _TOKEN's tokens costs one frame, not a second parse."""
+        """The switch to _TOKEN's tokens costs no frame and no second parse."""
         _, spaced = helpers.python_calls(lambda: parse("let a = 1 in a + a"))
         _, joined = helpers.python_calls(lambda: parse("let a = 1in a + a"))
-        assert joined <= spaced + 1
+        assert joined == spaced
 
-    # One case per place the descent reads a token: each names only the
+    # One case per place parse reads a token: each names only the
     # digits of a digit-led word, or the word after them once a term has
     # read the digits.
     @pytest.mark.parametrize(
@@ -173,6 +175,93 @@ def test_an_error_points_at_the_token_it_names(text):
         else:
             token = ast.literal_eval(named)
             assert text[offset : offset + len(token)] == token
+
+
+def parse_outcome(parser, text):
+    """parser's tree for text, or the text, line and column of its ParseError."""
+    try:
+        return parser(text)
+    except ParseError as err:
+        return str(err), err.line, err.col
+
+
+# The text of random programs, in both printers' forms: it parses, and its
+# nesting stays within the recursive descent's reach.
+PRINTED = st.tuples(helpers.asts(), st.sampled_from((print_let, print_flat))).map(
+    lambda pair: pair[1](helpers.program_of(pair[0]))
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(GRAMMAR_LIKE, PRINTED))
+def test_parse_agrees_with_the_recursive_descent(text):
+    assert parse_outcome(parse, text) == parse_outcome(helpers.descent_parse, text)
+
+
+def unnest(tree, kind, child):
+    """How many ``kind`` nodes lie on the path from ``tree`` down through each
+    one's item ``child``, the set of their other items, and the node below."""
+    depth, others = 0, set()
+    while tree[0] == kind:
+        others.add(tree[1:child] + tree[child + 1 :])
+        tree = tree[child]
+        depth += 1
+    return depth, others, tree
+
+
+#: Text n levels deep; the kind of node and the item each level nests in;
+#: the other items of those nodes, and the node below them. Parentheses leave
+#: no node behind.
+DEEP = {
+    "parentheses": (lambda n: "(" * n + "x" + ")" * n, "add", 2, set(), ("var", "x")),
+    "minuses": (lambda n: "-" * n + "x", "neg", 1, {()}, ("var", "x")),
+    "let-chain": (
+        lambda n: "let a = x in " + "let a = a + 1 in " * (n - 1) + "a",
+        "let",
+        3,
+        {("a", ("var", "x")), ("a", ("add", ("var", "a"), ("const", 1)))},
+        ("var", "a"),
+    ),
+    "sums": (lambda n: "(x + " * n + "y" + ")" * n, "add", 2, {(("var", "x"),)}, ("var", "y")),
+}
+
+
+class TestDepth:
+    """parse keeps the levels it is inside on a list, not on Python's stack,
+    so these run on the calling thread at the default recursion limit."""
+
+    @pytest.mark.parametrize("make, kind, child, others, bottom", DEEP.values(), ids=DEEP.keys())
+    def test_parse_takes_100_000_levels(self, make, kind, child, others, bottom):
+        depth, seen, below = unnest(parse(make(100_000)), kind, child)
+        assert depth == (100_000 if others else 0)
+        assert (seen, below) == (others, bottom)
+
+    @pytest.mark.parametrize("make", [make for make, *_ in DEEP.values()], ids=DEEP.keys())
+    def test_parse_time_is_linear_in_depth(self, make):
+        # A parse that copied its levels would make the 4x deeper text about
+        # 16x slower. The sizes alternate, so a swing in host speed lands on
+        # both sides of a pair rather than on one size. The collector is off
+        # while parse runs: a full collection, which one size may trigger and
+        # the other not, scans the heap of every test run so far.
+        def seconds(n):
+            text = make(n)
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                parse(text)
+                return time.perf_counter() - start
+            finally:
+                gc.enable()
+
+        ratios = [seconds(100_000) / seconds(25_000) for _ in range(5)]
+        assert median(ratios) <= 7, ratios
+
+    def test_parse_enters_no_frame_per_token_or_level(self):
+        # 2,598 tokens, 200 lets deep: the frames are python_calls' lambda
+        # and parse's own.
+        tree, calls = helpers.python_calls(lambda: parse(helpers.LETS_200))
+        assert tree == helpers.descent_parse(helpers.LETS_200)
+        assert calls <= 2
 
 
 class TestElaborate:

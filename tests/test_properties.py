@@ -17,6 +17,7 @@ from exprdag.netlist import emit_netlist, emit_threeaddr, eval_dag
 from exprdag.parser import elaborate, parse
 
 import helpers
+from helpers import NAMES, asts, wide_ints
 
 # The benchmark's reference semantics, loaded by path: it imports nothing
 # from exprdag, so it checks the library against arithmetic of its own.
@@ -25,60 +26,6 @@ _spec = importlib.util.spec_from_file_location(
 )
 reference = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(reference)
-
-# v0 and v1 are the names print_let gives its first binders, so the round
-# trip also checks that no binder captures a free variable.
-NAMES = helpers.FREE_NAMES + helpers.LET_NAMES + ("v0", "v1")
-
-# Values reach past the signed 64-bit range and crowd its ends, so sums and
-# negations wrap.
-wide_ints = st.one_of(
-    st.sampled_from((2**63 - 1, 2**63, -(2**63), 2**64, 2**64 + 1, -(2**64) - 1)),
-    st.integers(-(2**70), 2**70),
-    st.integers(2**63 - 4, 2**63 + 4),
-    st.integers(-(2**63) - 4, -(2**63) + 4),
-)
-
-
-def leaves():
-    return st.one_of(
-        st.one_of(st.integers(-50, 50), wide_ints).map(lambda value: ("const", value)),
-        st.sampled_from(NAMES).map(lambda name: ("var", name)),
-    )
-
-
-def asts(with_neg_sub=True, with_let=True, siblings=False, with_neg=True):
-    """Trees over NAMES. With ``siblings``, some are a let and then a sibling
-    that uses the let's name, where it is free or bound by an outer let: a
-    walk whose scope outlives a let's body reads the wrong binding there.
-    Without ``with_neg``, trees have sub nodes but no neg nodes."""
-
-    def extend(inner):
-        options = [st.tuples(st.just("add"), inner, inner)]
-        if with_neg_sub:
-            options.append(st.tuples(st.just("sub"), inner, inner))
-        if with_neg_sub and with_neg:
-            options.append(st.tuples(st.just("neg"), inner))
-        if with_let:
-            let = st.tuples(st.just("let"), st.sampled_from(helpers.LET_NAMES), inner, inner)
-            options.append(let)
-        if siblings:
-            options.append(
-                st.builds(
-                    lambda kind, name, bound, body, after: (
-                        kind, ("let", name, bound, body), ("add", after, ("var", name))
-                    ),
-                    st.sampled_from(("add", "sub")),
-                    st.sampled_from(helpers.LET_NAMES),
-                    inner,
-                    inner,
-                    inner,
-                )
-            )
-        return st.one_of(options)
-
-    return st.recursive(leaves(), extend, max_leaves=30)
-
 
 envs = st.fixed_dictionaries({name: wide_ints for name in NAMES})
 partial_envs = st.dictionaries(st.sampled_from(NAMES), wide_ints)
