@@ -34,7 +34,7 @@ NodeId = int
 
 
 #: Each node kind's tuple length and its text in format_dag. hashcons admits
-#: only these shapes, so a 5-way match on them covers every stored node.
+#: only these shapes, so the backends' if-chains can leave neg to a bare else.
 _KINDS = {
     "const": (2, "NConst {}"),
     "var": (2, 'NVar "{}"'),

@@ -1,9 +1,9 @@
 """Backends over frozen Dags: evaluation, netlist text, three-address text.
 
-Both emitters lean on the topological id order: one line per node, in id
-order, can only ever reference earlier lines. They read each id's text from
-_DECIMAL, one table kept for the whole process, which grows to the largest
-Dag emitted, at about 63 bytes per id, and is never shrunk.
+Each walks the nodes once in topological id order, so an emitted line names
+only earlier lines, and picks a node's operation by one if-chain on its kind
+tag, neg last. The emitters read id text from _DECIMAL, one table for the
+process, grown to the largest Dag emitted, about 63 bytes per id, never shrunk.
 """
 
 from __future__ import annotations
@@ -35,25 +35,26 @@ def eval_dag(dag: Dag, root: NodeId, env: Env) -> int:
             pass
     names, inputs, values = [], [], []
     for node in dag._nodes:
-        match node:
-            case ("add", left, right):
-                values.append((values[left] + values[right]) & _MASK)
-            case ("const", value):
-                values.append(value & _MASK)
-            case ("var", name):
-                try:
-                    value = env[name]
-                except KeyError:
-                    raise UnboundVariableError(name) from None
-                if type(value) is not int:
-                    raise TypeError(f"value of {name} must be an int, not {type(value).__name__}")
-                names.append(name)
-                inputs.append(value)
-                values.append(value & _MASK)
-            case ("neg", operand):
-                values.append(-values[operand] & _MASK)
-            case ("sub", left, right):
-                values.append((values[left] - values[right]) & _MASK)
+        kind = node[0]
+        if kind == "add":
+            values.append((values[node[1]] + values[node[2]]) & _MASK)
+        elif kind == "var":
+            name = node[1]
+            try:
+                value = env[name]
+            except KeyError:
+                raise UnboundVariableError(name) from None
+            if type(value) is not int:
+                raise TypeError(f"value of {name} must be an int, not {type(value).__name__}")
+            names.append(name)
+            inputs.append(value)
+            values.append(value & _MASK)
+        elif kind == "const":
+            values.append(node[1] & _MASK)
+        elif kind == "sub":
+            values.append((values[node[1]] - values[node[2]]) & _MASK)
+        else:
+            values.append(-values[node[1]] & _MASK)
     dag._memo = names, inputs, values
     return (values[root] + _HALF & _MASK) - _HALF
 
@@ -66,17 +67,17 @@ def emit_netlist(dag: Dag, roots: Iterable[NodeId]) -> str:
         d = _DECIMAL = [*d, *map(str, range(len(d), n))]
     lines = []
     for node_id, node in zip(d, dag._nodes):
-        match node:
-            case ("add", left, right):
-                lines.append(f"n{node_id} = add n{d[left]} n{d[right]}\n")
-            case ("const", value):
-                lines.append(f"n{node_id} = const {value}\n")
-            case ("var", name):
-                lines.append(f"n{node_id} = input {name}\n")
-            case ("neg", operand):
-                lines.append(f"n{node_id} = neg n{d[operand]}\n")
-            case ("sub", left, right):
-                lines.append(f"n{node_id} = sub n{d[left]} n{d[right]}\n")
+        kind = node[0]
+        if kind == "add":
+            lines.append(f"n{node_id} = add n{d[node[1]]} n{d[node[2]]}\n")
+        elif kind == "var":
+            lines.append(f"n{node_id} = input {node[1]}\n")
+        elif kind == "const":
+            lines.append(f"n{node_id} = const {node[1]}\n")
+        elif kind == "sub":
+            lines.append(f"n{node_id} = sub n{d[node[1]]} n{d[node[2]]}\n")
+        else:
+            lines.append(f"n{node_id} = neg n{d[node[1]]}\n")
     for root in roots:
         lines.append(f"out n{d[dag._id(root)]}\n")
     return "".join(lines)
@@ -92,16 +93,16 @@ def emit_threeaddr(dag: Dag, root: NodeId) -> str:
         d = _DECIMAL = [*d, *map(str, range(len(d), n))]
     lines = []
     for node_id, node in zip(d, dag._nodes):
-        match node:
-            case ("add", left, right):
-                lines.append(f"ADD r{node_id}, r{d[left]}, r{d[right]}\n")
-            case ("const", value):
-                lines.append(f"LOADI r{node_id}, {value}\n")
-            case ("var", name):
-                lines.append(f"LOADV r{node_id}, {name}\n")
-            case ("neg", operand):
-                lines.append(f"NEG r{node_id}, r{d[operand]}\n")
-            case ("sub", left, right):
-                lines.append(f"SUB r{node_id}, r{d[left]}, r{d[right]}\n")
+        kind = node[0]
+        if kind == "add":
+            lines.append(f"ADD r{node_id}, r{d[node[1]]}, r{d[node[2]]}\n")
+        elif kind == "var":
+            lines.append(f"LOADV r{node_id}, {node[1]}\n")
+        elif kind == "const":
+            lines.append(f"LOADI r{node_id}, {node[1]}\n")
+        elif kind == "sub":
+            lines.append(f"SUB r{node_id}, r{d[node[1]]}, r{d[node[2]]}\n")
+        else:
+            lines.append(f"NEG r{node_id}, r{d[node[1]]}\n")
     lines.append(f"RET r{d[root]}\n")
     return "".join(lines)

@@ -261,6 +261,31 @@ def netlist_refs_are_backward(text):
     return True
 
 
+OPCODES = {"add": "ADD", "sub": "SUB", "neg": "NEG", "const": "LOADI", "var": "LOADV"}
+
+
+def netlist_oracle(dag, roots):
+    """emit_netlist's text, each id formatted on its own."""
+    lines = []
+    for node_id, (kind, *args) in dag.items():
+        if kind == "var":
+            lines.append(f"n{node_id} = input {args[0]}\n")
+        elif kind == "const":
+            lines.append(f"n{node_id} = const {args[0]}\n")
+        else:
+            lines.append(f"n{node_id} = {kind} " + " ".join(f"n{arg}" for arg in args) + "\n")
+    return "".join(lines) + "".join(f"out n{root}\n" for root in roots)
+
+
+def threeaddr_oracle(dag, root):
+    """emit_threeaddr's text, each id formatted on its own."""
+    lines = []
+    for node_id, (kind, *args) in dag.items():
+        operands = args if kind in ("var", "const") else [f"r{arg}" for arg in args]
+        lines.append(f"{OPCODES[kind]} r{node_id}, " + ", ".join(f"{op}" for op in operands) + "\n")
+    return "".join(lines) + f"RET r{root}\n"
+
+
 class CountingTable(defaultdict):
     """A node table, as a Dag's, that counts its lookups, hits and misses
     alike, and its misses apart. Being a Python subclass, it runs a frame

@@ -16,6 +16,7 @@ from exprdag.netlist import emit_netlist, emit_threeaddr, eval_dag
 from exprdag.parser import elaborate
 
 import helpers
+from helpers import netlist_oracle, threeaddr_oracle
 
 
 def sklansky4(b):
@@ -199,7 +200,8 @@ class TestEmitThreeAddr:
 
 
 class TestBackendCost:
-    """Each node costs a tuple dispatch and an append, not a Python call."""
+    """Each node costs an index, an if-chain of string compares and an
+    append, not a Python call."""
 
     @pytest.fixture(scope="class")
     def forest(self):
@@ -303,31 +305,6 @@ class TestUnfrozenDag:
             emit_threeaddr(dag, root)
         with pytest.raises(KeyError):
             eval_dag(dag, root, {"x0": 1, "x1": 2})
-
-
-OPCODES = {"add": "ADD", "sub": "SUB", "neg": "NEG", "const": "LOADI", "var": "LOADV"}
-
-
-def netlist_oracle(dag, roots):
-    """emit_netlist's text, each id formatted on its own."""
-    lines = []
-    for node_id, (kind, *args) in dag.items():
-        if kind == "var":
-            lines.append(f"n{node_id} = input {args[0]}\n")
-        elif kind == "const":
-            lines.append(f"n{node_id} = const {args[0]}\n")
-        else:
-            lines.append(f"n{node_id} = {kind} " + " ".join(f"n{arg}" for arg in args) + "\n")
-    return "".join(lines) + "".join(f"out n{root}\n" for root in roots)
-
-
-def threeaddr_oracle(dag, root):
-    """emit_threeaddr's text, each id formatted on its own."""
-    lines = []
-    for node_id, (kind, *args) in dag.items():
-        operands = args if kind in ("var", "const") else [f"r{arg}" for arg in args]
-        lines.append(f"{OPCODES[kind]} r{node_id}, " + ", ".join(f"{op}" for op in operands) + "\n")
-    return "".join(lines) + f"RET r{root}\n"
 
 
 def forest_of(asts):

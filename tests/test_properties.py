@@ -110,6 +110,26 @@ def test_dag_evaluation_agrees_with_direct_evaluation(ast, env):
     assert helpers.outcome(lambda: eval_dag(dag, root, env)) == expected
 
 
+@given(asts(), partial_envs)
+@example(*UNREACHED_INPUT)
+def test_every_backend_branch_agrees_with_its_oracle_on_frozen_and_growing_dags(ast, env):
+    # Each backend picks a node's operation by an if-chain on its kind tag.
+    # The oracles format every node by itself, and evaluate walks the tree.
+    # The same nodes, consed again into a Dag that stays unfrozen, reach the
+    # chains through the table's keys view instead of a list.
+    program = helpers.program_of(ast)
+    root, dag = build_dag(program)
+    regrown = Dag()
+    for node_id, node in dag.items():
+        assert regrown.hashcons(node) == node_id
+    netlist, threeaddr = helpers.netlist_oracle(dag, [root]), helpers.threeaddr_oracle(dag, root)
+    expected = helpers.outcome(lambda: evaluate(program, env))
+    for backend_dag in (dag, regrown):
+        assert emit_netlist(backend_dag, [root]) == netlist
+        assert emit_threeaddr(backend_dag, root) == threeaddr
+        assert helpers.outcome(lambda: eval_dag(backend_dag, root, env)) == expected
+
+
 @given(asts(with_let=False), envs)
 def test_let_free_programs_match_the_tree_evaluator(ast, env):
     program = helpers.program_of(ast)
