@@ -62,6 +62,11 @@ class FullBuilder(ABC, Generic[T]):
     Each interpreter picks its own term type T: a plain value computed as
     the term is built, or a function of its run state where it must defer.
     A term must only be fed back to the interpreter that produced it.
+    evaluate, size and build_dag check only the program's result, since a
+    check per operand would sit on every node's path: a foreign operand
+    mostly raises Python's own TypeError, such as ``unsupported operand
+    type(s) for +: 'int' and 'tuple'``, and evaluate and size take a bool.
+    print_let and print_flat name any foreign value, wherever it stands.
     """
 
     @abstractmethod
@@ -118,4 +123,7 @@ class TreeBuilder(FullBuilder[tuple]):
 @collector_paused
 def lower_to_tree(program: Program) -> tuple:
     """Expand a program to its tree, eliminating let_ by substitution."""
-    return program(TreeBuilder())
+    tree = program(TreeBuilder())
+    if type(tree) is not tuple or not tree:
+        raise TypeError(f"not an expression tree: {tree!r}")
+    return tree

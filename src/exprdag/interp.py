@@ -192,7 +192,7 @@ _TEXTS = (_TEXT, _ROPE)
 
 
 def _atom(term):
-    return (term[0], 2, term[2]) if term and term[0] in _TEXTS else term
+    return (term[0], 2, term[2]) if type(term) is tuple and term and term[0] in _TEXTS else term
 
 
 class LetPrinter(FullBuilder[tuple]):
@@ -209,9 +209,10 @@ class LetPrinter(FullBuilder[tuple]):
     to atoms, and an atom fits every context, so its text has no brackets.
     Binder names are drawn in rendering order, so a term with a let_ inside
     is left for ``_show``: let_ returns ``(_LET, bound, body)``, and an add,
-    neg or sub over such a term returns the tree node ``(kind, left,
-    right)`` or ``("neg", operand)``. ``free`` collects every variable name
-    the program uses, so print_let can keep binders from capturing them.
+    neg or sub over any operand but text returns the tree node ``(kind,
+    left, right)`` or ``("neg", operand)``, so ``_show`` also meets, and
+    refuses, an operand that is no term. ``free`` collects every variable
+    name the program uses, so print_let can keep binders from capturing them.
     """
 
     def __init__(self) -> None:
@@ -234,8 +235,8 @@ class LetPrinter(FullBuilder[tuple]):
                 return (_TEXT, 1, f"{left[2]} + {right[2]}")
             if left[0] in _TEXTS and right[0] in _TEXTS:
                 return (_ROPE, 1, (left[2], " + ", right[2]))
-        except IndexError:  # only an empty tuple has no kind to read
-            raise TypeError("not an expression tree: ()") from None
+        except (LookupError, TypeError):  # no term: _show refuses it
+            pass
         return ("add", left, right)
 
     def neg(self, operand):
@@ -244,8 +245,8 @@ class LetPrinter(FullBuilder[tuple]):
                 return (_TEXT, 1, f"-{operand[2]}" if operand[1] > 1 else f"-({operand[2]})")
             if operand[0] in _TEXTS:
                 return (_ROPE, 1, ("-", operand[2]) if operand[1] > 1 else ("-(", operand[2], ")"))
-        except IndexError:  # only an empty tuple has no kind to read
-            raise TypeError("not an expression tree: ()") from None
+        except (LookupError, TypeError):  # no term: _show refuses it
+            pass
         return ("neg", operand)
 
     def sub(self, left, right):
@@ -258,8 +259,8 @@ class LetPrinter(FullBuilder[tuple]):
                 return (_TEXT, 1, f"{left[2]} - {right[2]}")
             if left[0] in _TEXTS and right[0] in _TEXTS:
                 return (_ROPE, 1, (left[2], " - ", right[2]))
-        except IndexError:  # only an empty tuple has no kind to read
-            raise TypeError("not an expression tree: ()") from None
+        except (LookupError, TypeError):  # no term: _show refuses it
+            pass
         return ("sub", left, right)
 
     def let_(self, bound, body):
@@ -272,12 +273,12 @@ def _show(builder, supply, scope, parts, ast, prec):
     return it. Binder names are drawn from ``supply`` after a binder's bound
     and before its body, so they increase left to right. ``scope`` is None
     among LetPrinter terms and, in a tree, maps a let's name to its binder
-    and a free name to its text, from ``builder`` once, as in ``_evaluate``;
-    a tree's var or let among LetPrinter terms, a LetPrinter term in a tree,
-    an empty tuple as a let_'s bound or its body's result, or, with no
-    ``supply`` as print_flat calls it, a let_'s or elaborate's term, is a
-    TypeError."""
-    kind = ast[0] if type(ast) is tuple else None
+    and a free name to its text, from ``builder`` once, as in ``_evaluate``.
+    The printers refuse here only: a value that is no term where it stands
+    is a TypeError, and so is a let_'s or elaborate's term with no
+    ``supply``, as print_flat calls it. In a tree, ``()`` is an IndexError,
+    as in ``_evaluate``."""
+    kind = ast[0] if type(ast) is tuple and (ast or scope is not None) else None
     if scope is not None and kind == "var":
         name = scope.get(ast[1])
         if name is None:
@@ -311,21 +312,17 @@ def _show(builder, supply, scope, parts, ast, prec):
         if prec > 0:
             parts.append(")")
     elif kind is _LET and scope is None and supply is not None:
-        if not ast[1]:  # such as (), which has no kind to read
-            raise TypeError(f"not an expression tree: {ast[1]!r}")
         slot = len(parts)
         parts.append(None)
-        if ast[1][0] is _TEXT:
-            parts.append(ast[1][2])
+        bound = ast[1]
+        if type(bound) is tuple and bound and bound[0] is _TEXT:
+            parts.append(bound[2])
         else:
-            _show(builder, supply, scope, parts, ast[1], 1)
+            _show(builder, supply, scope, parts, bound, 1)
         name = next(supply)
         parts[slot] = f"(let {name} = " if prec > 0 else f"let {name} = "
         parts.append(" in ")
-        body = ast[2]((_TEXT, 2, name))
-        if not body:
-            raise TypeError(f"not an expression tree: {body!r}")
-        _show(builder, supply, scope, parts, body, 0)
+        _show(builder, supply, scope, parts, ast[2]((_TEXT, 2, name)), 0)
         if prec > 0:
             parts.append(")")
     elif kind == "neg":
@@ -363,10 +360,7 @@ class FlatPrinter(LetPrinter):
 
 @collector_paused
 def print_flat(program: Program) -> str:
-    term = program(FlatPrinter())
-    if type(term) is not tuple or not term:
-        raise TypeError(f"not an expression tree: {term!r}")
-    return term[2] if term[0] is _TEXT else "".join(_show(None, None, None, [], term, 0))
+    return "".join(_show(None, None, None, [], program(FlatPrinter()), 0))
 
 
 def _binder_names(skip: set[str], drawn: list[str]) -> Iterator[str]:
@@ -392,16 +386,11 @@ def print_let(program: Program) -> str:
     so a rendering whose binders met a name found later in it is done again
     with every free name known. If that second rendering's binders meet a
     name found later still, as when a body names a new variable each time
-    it runs, a binder would capture it, so print_let raises ValueError.
+    it runs, a binder would capture it, so print_let raises ValueError. A
+    value in the result that is no term is a TypeError, at the first one met.
     """
     printer = LetPrinter()
     term = program(printer)
-    if type(term) is not tuple or not term:
-        raise TypeError(f"not an expression tree: {term!r}")
-    if term[0] is _TEXT:
-        return term[2]
-    if term[0] is _ROPE:
-        return "".join(_join(term[2], []))
     for _ in range(2):
         drawn: list[str] = []
         text = "".join(_show(printer, _binder_names(printer.free, drawn), None, [], term, 0))

@@ -1,5 +1,7 @@
 """Tree construction and the builder interface contracts."""
 
+import re
+
 import pytest
 
 from exprdag.builders import FullBuilder, TreeBuilder, lower_to_tree
@@ -79,6 +81,12 @@ def test_let_with_constant_body_drops_the_binding():
         return b.let_(b.variable("x"), lambda _y: b.constant(3))
 
     assert lower_to_tree(program) == ("const", 3)
+
+
+@pytest.mark.parametrize("result", [(), 5, None, 1.5], ids=["empty-tuple", "int", "none", "float"])
+def test_lower_to_tree_refuses_a_result_that_is_no_tree(result):
+    with pytest.raises(TypeError, match=f"^not an expression tree: {re.escape(repr(result))}$"):
+        lower_to_tree(lambda b: result)
 
 
 def test_trees_compare_structurally_and_hash():

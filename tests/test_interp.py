@@ -331,21 +331,34 @@ class TestPrintLet:
     @pytest.mark.parametrize(
         "program",
         [
-            lambda b: (),
-            lambda b: b.add(b.variable("x"), ()),
-            lambda b: b.add((), b.variable("x")),
-            lambda b: b.neg(()),
-            lambda b: b.sub(b.variable("x"), ()),
-            lambda b: b.sub((), b.variable("x")),
-            lambda b: b.let_((), lambda v: v),
-            lambda b: b.let_(b.variable("x"), lambda v: ()),
+            lambda b, bad: bad,
+            lambda b, bad: b.add(bad, b.variable("x")),
+            lambda b, bad: b.add(b.variable("x"), bad),
+            lambda b, bad: b.neg(bad),
+            lambda b, bad: b.sub(bad, b.variable("x")),
+            lambda b, bad: b.sub(b.variable("x"), bad),
+            lambda b, bad: b.let_(bad, lambda v: v),
+            lambda b, bad: b.let_(b.variable("x"), lambda v: bad),
         ],
-        ids=["program", "add-right", "add-left", "neg", "sub-right", "sub-left", "let-bound", "let-body"],
+        ids=["program", "add-left", "add-right", "neg", "sub-left", "sub-right", "let-bound", "let-body"],
     )
-    def test_an_empty_tuple_is_refused(self, program):
-        # As evaluate, size and build_dag refuse it, with a TypeError.
+    @pytest.mark.parametrize(
+        "bad", [(), 5, None, 1.5, {}], ids=["empty-tuple", "int", "none", "float", "dict"]
+    )
+    def test_a_value_that_is_no_term_is_refused(self, program, bad):
+        # Wherever it stands, the one walk both printers render through
+        # refuses it by name.
+        message = f"^not an expression tree: {re.escape(repr(bad))}$"
         for run in (print_let, print_flat):
-            with pytest.raises(TypeError, match=r"^not an expression tree: \(\)$"):
+            with pytest.raises(TypeError, match=message):
+                run(lambda b: program(b, bad))
+
+    def test_a_builder_error_comes_before_a_refusal(self):
+        # The operators leave a non-term for the walk, so the empty name,
+        # built after it, raises first.
+        program = lambda b: b.sub(b.add((), b.variable("x")), b.variable(""))  # noqa: E731
+        for run in (print_let, print_flat):
+            with pytest.raises(ValueError, match="^variable name must be non-empty$"):
                 run(program)
 
     def test_a_free_name_in_a_let_free_sibling_moves_the_binder(self):

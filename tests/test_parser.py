@@ -481,6 +481,7 @@ MALFORMED = {
     "non-tuple": (("add", ("var", "x"), "oops"), {"x": 1}, TypeError, TypeError),
     "unknown-tag": (("sub", ("const", 1), ("mul", 2, 3)), {}, TypeError, TypeError),
     "empty-tuple": (("neg", ()), {}, IndexError, IndexError),
+    "empty-tuple-operand": (("add", ("var", "x"), ()), {"x": 1}, IndexError, IndexError),
     "short-add": (("add", ("const", 1)), {}, IndexError, IndexError),
     "short-let": (("let", "a", ("const", 1)), {}, IndexError, IndexError),
     "short-var": (("let", "a", ("var",), ("var", "a")), {}, IndexError, IndexError),
