@@ -11,7 +11,6 @@ import re
 import sys
 import time
 from pathlib import Path
-from statistics import median
 
 from .dag import build_dag, build_forest, format_dag
 from .generators import mul, mul_shared, sklansky, sklansky_shared
@@ -87,6 +86,7 @@ _GENERATORS = {
 
 
 def _cmd_bench(args) -> None:
+    from statistics import median  # here, so that no other command pays its import
     generator = _GENERATORS[args.gen]
 
     def program(builder):

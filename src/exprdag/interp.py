@@ -175,14 +175,18 @@ _ROPE_AT = 4096
 
 def _join(rope, parts):
     """Append the strs of ``rope`` to ``parts`` in order and return it. An
-    explicit stack walks the rope, so its depth is bounded by memory."""
+    explicit stack walks the rope right to left, copying no node, and the
+    strs it meets are reversed once; its depth is bounded by memory."""
     stack = [rope]
+    strs = []
     while stack:
         piece = stack.pop()
         if type(piece) is str:
-            parts.append(piece)
+            strs.append(piece)
         else:
-            stack.extend(piece[::-1])
+            stack.extend(piece)
+    strs.reverse()
+    parts.extend(strs)
     return parts
 
 
@@ -391,6 +395,8 @@ def print_let(program: Program) -> str:
     """
     printer = LetPrinter()
     term = program(printer)
+    if type(term) is tuple and term and term[0] in _TEXTS:  # let-free: no binder to draw
+        return "".join(_show(None, None, None, [], term, 0))
     for _ in range(2):
         drawn: list[str] = []
         text = "".join(_show(printer, _binder_names(printer.free, drawn), None, [], term, 0))

@@ -39,7 +39,7 @@ from .interp import _TREE, Evaluator, LetPrinter, SizeBuilder, _evaluate, _size
 
 # ASCII only: \d, \w and \s would also admit other Unicode digits, letters
 # and spaces.
-_BAD_CHAR = re.compile(r"[^ \t\r\nA-Za-z0-9_+\-()=]")
+_GOOD_CHARS = re.compile(r"[ \t\r\nA-Za-z0-9_+\-()=]*")
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+()=]")
 _RESERVED = ("let", "in")
 _TAGS = ("add", "var", "sub", "const", "let", "neg")
@@ -65,9 +65,9 @@ def _describe(token: str) -> str:
 
 def parse(text: str) -> tuple:
     """Parse program text into a tuple tree, or raise a positioned ParseError."""
-    bad = _BAD_CHAR.search(text)
-    if bad:
-        raise _error_at(text, bad.start(), f"unexpected character {bad.group()!r}")
+    bad = _GOOD_CHARS.match(text).end()
+    if bad < len(text):
+        raise _error_at(text, bad, f"unexpected character {text[bad]!r}")
     pad = text.replace("(", " ( ").replace(")", " ) ").replace("+", " + ")
     tokens = pad.replace("-", " - ").replace("=", " = ").split() + [""]
 

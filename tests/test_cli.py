@@ -11,6 +11,7 @@ import contextlib
 import io
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -177,6 +178,13 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert err.startswith("error: 1:1: ") and err.count("\n") == 1
+
+
+def test_importing_the_cli_leaves_statistics_unloaded():
+    # statistics is a large share of the CLI's import time, and only bench uses it.
+    check = "import sys, exprdag.cli; print('statistics' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 class TestBench:

@@ -393,6 +393,18 @@ def let_free_sum(k):
     return program
 
 
+def right_nested_sum(k):
+    """x0 + (x1 + (... + x{k-1})), right-nested and built in host code."""
+
+    def program(b):
+        total = b.variable(f"x{k - 1}")
+        for index in reversed(range(k - 1)):
+            total = b.add(b.variable(f"x{index}"), total)
+        return total
+
+    return program
+
+
 class TestPrintLetCost:
     def test_an_aliased_let_free_term_is_rendered_once(self):
         n = 2**16 - 1
@@ -433,9 +445,17 @@ class TestPrintLetCost:
         assert median(ratios) <= 7, ratios
 
     @pytest.mark.parametrize("printer", [print_let, print_flat])
-    def test_a_long_let_free_sum_prints_at_any_length(self, printer):
-        text = " + ".join(["x"] + [f"x{i}" for i in range(1, 20_000)])
-        assert printer(let_free_sum(20_000)) == text
+    @pytest.mark.parametrize(
+        "program, names",
+        [
+            (let_free_sum(20_000), ["x"] + [f"x{i}" for i in range(1, 20_000)]),
+            # _join's stack grows with a right-nested rope's depth.
+            (right_nested_sum(100_000), [f"x{i}" for i in range(100_000)]),
+        ],
+        ids=["left-nested", "right-nested"],
+    )
+    def test_a_long_let_free_sum_prints_at_any_length(self, printer, program, names):
+        assert printer(program) == " + ".join(names)
 
 
 @pytest.mark.parametrize("printer", [print_let, print_flat])
