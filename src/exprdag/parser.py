@@ -21,9 +21,11 @@ an error names ``_TOKEN``'s token. A ``ParseError``'s line and column are
 computed only when it is raised, by scanning again with ``_TOKEN`` to the
 failing token's offset.
 
-``elaborate`` dispatches on a tree node's tag and links a (name, term,
-parent) scope frame per let, not a copy, so it is linear in let depth; a
-name no let has bound skips the chain walk. An exact DagBuilder, Evaluator,
+``elaborate`` walks a tree into the builder's terms with ``_elab``, which
+dispatches on a node's tag and links a (name, term, parent) scope frame per
+let, not a copy, so it is linear in let depth; a name no let has bound skips
+the chain walk. A let hands let_ a partial of ``_let_body``, so no call makes
+closure cells or a reference cycle. An exact DagBuilder, Evaluator,
 SizeBuilder or LetPrinter instead gets the walk beside it that fuses a tree
 with its terms: ``dag._cons``, ``interp._evaluate``, ``_size`` or ``_show``.
 """
@@ -145,48 +147,41 @@ def parse(text: str) -> tuple:
             closer, node, op, negs, binder = stack.pop()
 
 
-class _Elaborator:
-    """elaborate's dispatch, as a method rather than a nested function that
-    names itself, so that elaborating leaves no reference cycle behind. A let
-    hands let_ a partial of let_body, not a lambda, so elab has no closure
-    cells to make on every call."""
+def _elab(builder: FullBuilder, bound_names: set, scope, ast):
+    kind = ast[0] if type(ast) is tuple else None
+    if kind == "add":
+        return builder.add(
+            _elab(builder, bound_names, scope, ast[1]), _elab(builder, bound_names, scope, ast[2])
+        )
+    if kind == "var":
+        name = ast[1]
+        if name in bound_names:
+            while scope is not None:
+                if scope[0] == name:
+                    return scope[1]
+                scope = scope[2]
+        return builder.variable(name)
+    if kind == "sub":
+        return builder.sub(
+            _elab(builder, bound_names, scope, ast[1]), _elab(builder, bound_names, scope, ast[2])
+        )
+    if kind == "const":
+        return builder.constant(ast[1])
+    if kind == "let":
+        bound = _elab(builder, bound_names, scope, ast[2])
+        bound_names.add(ast[1])  # before the body can run
+        return builder.let_(bound, partial(_let_body, builder, bound_names, scope, ast))
+    if kind == "neg":
+        operand = ast[1]
+        if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
+            return builder.constant(-operand[1])
+        return builder.neg(_elab(builder, bound_names, scope, operand))
+    raise TypeError(f"not an expression tree: {ast!r}")
 
-    __slots__ = ("builder", "bound_names")
 
-    def __init__(self, builder: FullBuilder) -> None:
-        self.builder = builder
-        self.bound_names: set[str] = set()  # a binder's name enters before its body can run
-
-    def elab(self, ast, scope):
-        kind = ast[0] if type(ast) is tuple else None
-        if kind == "add":
-            return self.builder.add(self.elab(ast[1], scope), self.elab(ast[2], scope))
-        if kind == "var":
-            name = ast[1]
-            if name in self.bound_names:
-                while scope is not None:
-                    if scope[0] == name:
-                        return scope[1]
-                    scope = scope[2]
-            return self.builder.variable(name)
-        if kind == "sub":
-            return self.builder.sub(self.elab(ast[1], scope), self.elab(ast[2], scope))
-        if kind == "const":
-            return self.builder.constant(ast[1])
-        if kind == "let":
-            bound = self.elab(ast[2], scope)
-            self.bound_names.add(ast[1])
-            return self.builder.let_(bound, partial(self.let_body, ast, scope))
-        if kind == "neg":
-            operand = ast[1]
-            if type(operand) is tuple and operand[0] == "const" and type(operand[1]) is int:
-                return self.builder.constant(-operand[1])
-            return self.builder.neg(self.elab(operand, scope))
-        raise TypeError(f"not an expression tree: {ast!r}")
-
-    def let_body(self, ast, scope, term):
-        """The body of the let node ``ast``, with its name bound to ``term``."""
-        return self.elab(ast[3], (ast[1], term, scope))
+def _let_body(builder: FullBuilder, bound_names: set, scope, ast, term):
+    """The body of the let node ``ast``, with its name bound to ``term``."""
+    return _elab(builder, bound_names, (ast[1], term, scope), ast[3])
 
 
 def elaborate(ast: tuple, builder: FullBuilder):
@@ -207,7 +202,8 @@ def elaborate(ast: tuple, builder: FullBuilder):
     runs. Such a term checks only the root here. Below it, build_dag raises
     at the same bad node, and print_let at the first in rendering order,
     which the builder's terms break by deferring let bodies. A subclass of
-    any of the four gets the builder's terms.
+    any of the four gets the builder's terms, three frames deep per let
+    (``_elab``, let_ and ``_let_body``) where a fused walk takes one.
     """
     exact = type(builder)
     if exact is Evaluator:
@@ -215,7 +211,7 @@ def elaborate(ast: tuple, builder: FullBuilder):
     if exact is SizeBuilder:
         return _size(builder, {}, ast)
     if exact is not DagBuilder and exact is not LetPrinter:
-        return _Elaborator(builder).elab(ast, None)
+        return _elab(builder, set(), None, ast)
     if type(ast) is not tuple or ast[0] not in _TAGS:
         raise TypeError(f"not an expression tree: {ast!r}")
     if exact is DagBuilder:

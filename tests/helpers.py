@@ -3,6 +3,8 @@ and the CLI's process runner for the test suite.
 
 The oracles recompute results by direct recursion over trees, kept
 deliberately separate from the builder/interpreter code paths they check.
+A check that compares one of elaborate's fused walks with the builder's
+terms reaches the latter one way, through ``generic_program_of``.
 """
 
 import itertools
@@ -23,7 +25,7 @@ from exprdag.parser import (
     _RESERVED,
     _TOKEN,
     _describe,
-    _Elaborator,
+    _elab,
     _error_at,
     elaborate,
 )
@@ -325,20 +327,6 @@ class CountingBuilder(DagBuilder):
         return counted_run
 
 
-class ClosureDagBuilder(DagBuilder):
-    """A DagBuilder that is not exactly one, so that elaborate hands it the
-    builder's deferred terms instead of its direct walk."""
-
-
-class GenericEvaluator(Evaluator):
-    """An Evaluator that is not exactly one, so that elaborate runs it through
-    the builder's terms instead of its fused walk."""
-
-
-class GenericSizeBuilder(SizeBuilder):
-    """A SizeBuilder that is not exactly one, for the same reason."""
-
-
 def counted_forest(program, builder=None):
     """Build a forest program's terms, in order, with ``builder`` (a new
     CountingBuilder by default) into a fresh Dag whose node table counts;
@@ -364,9 +352,9 @@ def fused_outcomes(tree, env):
     """The outcomes of evaluate and size on a tree, through elaborate's fused
     walks, each checked equal to the outcome through the builder's terms."""
     value = outcome(lambda: elaborate(tree, Evaluator(env)))
-    assert value == outcome(lambda: elaborate(tree, GenericEvaluator(env)))
+    assert value == outcome(lambda: generic_program_of(tree)(Evaluator(env)))
     nodes = outcome(lambda: elaborate(tree, SizeBuilder()))
-    assert nodes == outcome(lambda: elaborate(tree, GenericSizeBuilder()))
+    assert nodes == outcome(lambda: generic_program_of(tree)(SizeBuilder()))
     return value, nodes
 
 
@@ -539,9 +527,8 @@ def program_of(ast):
 
 def generic_program_of(ast):
     """A program that runs ``ast`` through the builder's terms on any builder,
-    as elaborate does on one it has no fused walk for. print_let makes its
-    own exact LetPrinter, so no subclass can take this path for it."""
-    return lambda builder: _Elaborator(builder).elab(ast, None)
+    an exact one too, as elaborate does on one it has no fused walk for."""
+    return lambda builder: _elab(builder, set(), None, ast)
 
 
 class ShareEveryTerm(FullBuilder):

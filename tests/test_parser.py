@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 
 from exprdag.builders import FullBuilder, lower_to_tree
 from exprdag.dag import DagBuilder, build_dag, build_forest
-from exprdag.interp import UnboundVariableError, evaluate, print_flat, print_let, size
+from exprdag.interp import (
+    Evaluator,
+    SizeBuilder,
+    UnboundVariableError,
+    evaluate,
+    print_flat,
+    print_let,
+    size,
+)
 from exprdag.parser import ParseError, elaborate, parse
 
 import helpers
@@ -385,6 +393,34 @@ def sum_chain(k):
 
 
 @pytest.mark.parametrize(
+    "text, value, flat",
+    [
+        (
+            "let a0 = x in " + "".join(f"let a{i} = a{i - 1} + 1 in " for i in range(1, 320)) + "a319",
+            320,
+            "x" + " + 1" * 319,
+        ),
+        (" + ".join(f"x{i}" for i in range(950)), 450_775, " + ".join(f"x{i}" for i in range(950))),
+    ],
+    ids=["let-chain-320", "sum-950"],
+)
+def test_the_builder_terms_take_320_lets_or_950_levels_at_the_default_recursion_limit(
+    text, value, flat
+):
+    # A builder with no fused walk: a subclass, TreeBuilder or FlatPrinter.
+    # Each let takes three frames (_elab, let_ and _let_body) and each other
+    # level one; measured, 330 chained lets fit. A floor, not a ceiling.
+    class Subclass(Evaluator):
+        pass
+
+    tree, env = parse(text), {"x": 1, **{f"x{i}": i for i in range(950)}}
+    program = lambda b: elaborate(tree, b)  # noqa: E731
+    assert helpers.run_deep(lambda: elaborate(tree, Subclass(env)), limit=1_000, stack=0) == value
+    assert helpers.run_deep(lambda: print_flat(program), limit=1_000, stack=0) == flat
+    assert helpers.run_deep(lambda: lower_to_tree(program), limit=1_000, stack=0) == parse(flat)
+
+
+@pytest.mark.parametrize(
     "interpret",
     [build_dag, lambda program: evaluate(program, {"x": 1}), size],
     ids=["build_dag", "evaluate", "size"],
@@ -442,14 +478,18 @@ class TestDirectWalk:
         term = elaborate(ast, DagBuilder())
         with pytest.raises(TypeError, match="not an expression tree: 'oops'"):
             build_dag(lambda b: term)
+
+        class Subclass(DagBuilder):
+            pass
+
         with pytest.raises(TypeError, match="not an expression tree: 'oops'"):
-            elaborate(ast, helpers.ClosureDagBuilder())
+            elaborate(ast, Subclass())  # the builder's terms raise at once
 
     @pytest.mark.parametrize("text", SCOPING)
     def test_a_let_scopes_its_name_as_the_builder_terms_do(self, text):
         tree = parse(text)
         direct_root, direct = build_dag(lambda b: elaborate(tree, b))
-        root, dag = build_dag(lambda b: elaborate(tree, helpers.ClosureDagBuilder()))
+        root, dag = build_dag(helpers.generic_program_of(tree))
         assert direct_root == root
         assert direct.items() == dag.items()
 
@@ -457,7 +497,7 @@ class TestDirectWalk:
         tree = parse("(let q = x in q + 1) + q")
         term = elaborate(tree, DagBuilder())
         roots, dag = build_forest(lambda b: [term, term])
-        closure = elaborate(tree, helpers.ClosureDagBuilder())
+        closure = helpers.generic_program_of(tree)(DagBuilder())
         assert (roots, dag) == build_forest(lambda b: [closure, closure])
         assert roots == [4, 4] and dag.items()[3] == (3, ("var", "q"))
 
@@ -561,7 +601,7 @@ class TestFusedWalks:
         assert value == helpers.surface_eval(tree, env)
         assert calls <= 1_600 + 202 + 16
         nodes, calls = helpers.python_calls(lambda: size(lambda b: elaborate(tree, b)))
-        assert nodes == size(lambda b: elaborate(tree, helpers.GenericSizeBuilder()))
+        assert nodes == size(helpers.generic_program_of(tree))
         assert calls <= 1_600 + 202 + 16
         text, calls = helpers.python_calls(lambda: print_let(lambda b: elaborate(tree, b)))
         assert text == print_let(helpers.generic_program_of(tree))
@@ -622,7 +662,7 @@ class TestFusedWalks:
     def test_a_subclass_gets_the_builder_terms(self):
         calls = []
 
-        class Recording(helpers.GenericSizeBuilder):
+        class Recording(SizeBuilder):
             def let_(self, bound, body):
                 calls.append(bound)
                 return super().let_(bound, body)

@@ -61,7 +61,7 @@ def test_every_fused_walk_ends_a_let_scope_with_its_body(ast, env):
     helpers.fused_outcomes(ast, env)
     helpers.shown_outcome(ast)
     direct = build_forest(lambda b: [elaborate(ast, b)])
-    assert direct == build_forest(lambda b: [elaborate(ast, helpers.ClosureDagBuilder())])
+    assert direct == build_forest(lambda b: [helpers.generic_program_of(ast)(b)])
 
 
 @given(asts())
@@ -217,7 +217,7 @@ def test_the_direct_walk_looks_up_the_table_once_per_constructor(ast):
 @given(asts())
 def test_the_direct_walk_builds_what_the_builder_terms_build(ast):
     direct_roots, direct = build_forest(lambda b: [elaborate(ast, b)])
-    roots, dag = build_forest(lambda b: [elaborate(ast, helpers.ClosureDagBuilder())])
+    roots, dag = build_forest(lambda b: [helpers.generic_program_of(ast)(b)])
     assert direct_roots == roots
     assert direct.items() == dag.items()
 
